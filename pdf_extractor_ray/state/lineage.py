@@ -15,20 +15,24 @@ A partition is committed iff a manifest row exists for it; manifests are
 written AFTER the partition's data (tmp file + atomic rename), so a crash at
 any point leaves either nothing or a fully-committed partition. Resume reads
 the ledger and filters already-committed url-hash partitions OUT of the input
-BEFORE the expensive extraction stage.
+BEFORE the render and the extraction stage.
 
 Unit mapping: partitions are processed in ``units`` waves (unit u owns
 partitions {p : p % units == u}); each wave is one streaming pipeline run and
-one commit. On a real sharded corpus a unit maps to a set of input FILES
-(so a wave reads only its own shards); with the single-file testdata each
-wave re-reads the small input and filters by part_id — the cheap part —
-while extraction (the expensive stage) runs exactly once per partition
-across all runs.
+one commit. A wave computes each document's url-hash partition from its
+``doc_id`` (the page url is a function of it) right after the read and drops
+every other wave's documents before the fan-out and the render, so each page
+is rendered and extracted once across all waves and a wave's work is its own
+share of the input. On a real sharded corpus a unit maps to a set of input
+FILES and the wave reads only its own shards; the single-file testdata is
+read whole by every wave, which costs a column scan, not a render.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import shutil
 import uuid
 
 import pyarrow as pa
@@ -131,8 +135,6 @@ class PassCheckpointer:
         fingerprint-mismatched) pass dir is garbage from a mid-write crash
         or a different input/logic — cleared whole (data AND stale markers)
         before the rewrite."""
-        import shutil
-
         d = self._pass_dir(name)
         if os.path.isdir(d) and not self.done(name):
             shutil.rmtree(d)
@@ -154,13 +156,24 @@ class PassCheckpointer:
         os.replace(tmp, marker)
 
 
-def _add_part_id_to_pages(batch: pa.Table, num_partitions: int) -> pa.Table:
-    """Cheap url-hash partition id on the PAGES side, so resume filtering
-    happens before extraction (the expensive stage)."""
+# Fan-out of a whole-input run over the single-file input
+# (``corpus.read_pages(fanout_blocks=16)``); a unit with k of P partitions
+# to compute gets ceil(FANOUT_BLOCKS·k/P) blocks, so its rows per block
+# match a whole-input run.
+FANOUT_BLOCKS = 16
+
+
+def doc_part_ids(doc_ids: pa.Array, num_partitions: int) -> pa.Array:
+    """url-hash partition id on the DOCUMENTS side: the same crc32 of
+    ``corpus.url_for_doc(doc_id)`` the extractor writes into ``part_id``, so
+    a wave can drop other waves' documents before rendering their pages."""
+    from ..corpus import url_for_doc
     from ..stages.extract import url_part_id
 
-    part = [url_part_id(u, num_partitions) for u in batch.column("url").to_pylist()]
-    return batch.append_column("page_part_id", pa.array(part, type=pa.int32()))
+    return pa.array(
+        [url_part_id(url_for_doc(d), num_partitions) for d in doc_ids.to_pylist()],
+        type=pa.int32(),
+    )
 
 
 def extract_with_resume(
@@ -176,10 +189,20 @@ def extract_with_resume(
     lineage commit. Re-running after a crash recomputes ONLY uncommitted
     partitions. Returns {"units_run": n, "skipped_parts": [...]}.
 
+    Each unit prunes before it renders: documents whose url-hash partition
+    (``doc_part_ids``) is not among the unit's uncommitted partitions are
+    dropped right after the read, so a page is rendered and extracted by
+    exactly one unit. The unit's fan-out is sized to its share: with k of
+    ``num_partitions`` (P) partitions still to compute it repartitions into
+    ceil(16·k/P) blocks, so ``units=1`` keeps 16 and a partly committed unit
+    on the resume leg gets fewer. On a sharded corpus a unit maps to a set
+    of input files instead, and reads only those.
+
     ``fail_after_units`` simulates a worker/driver loss between commits
     (used by the resume test).
     """
     from .. import corpus
+    from ..ioutil import read_table
     from ..pipelines.extract import extract_pages
 
     ledger = LineageLedger(out_dir)
@@ -199,29 +222,23 @@ def extract_with_resume(
         # from a run that died MID-WRITE (the manifest is written after the
         # data, so no manifest ⇒ the data is garbage). Clear it before the
         # append-mode rewrite or the partition would double-count.
-        import shutil
-
         for p in todo:
             pdir = os.path.join(out_dir, "data", f"part_id={p}")
             if os.path.isdir(pdir):
                 shutil.rmtree(pdir)
 
-        pages = corpus.read_pages(sf_dir, fanout_blocks=16)
-        pages = pages.map_batches(
-            lambda t: _add_part_id_to_pages(t, num_partitions),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=None,
-        )
         todo_arr = pa.array(todo, type=pa.int32())
-        pages = pages.map_batches(
-            lambda t: t.filter(pc.is_in(t.column("page_part_id"), value_set=todo_arr)).drop_columns(
-                ["page_part_id"]
+        docs = read_table(sf_dir, "documents", ["doc_id", "text", "lang"])
+        docs = docs.map_batches(
+            lambda t: t.filter(
+                pc.is_in(doc_part_ids(t.column("doc_id"), num_partitions), value_set=todo_arr)
             ),
             batch_format="pyarrow",
             zero_copy_batch=True,
             batch_size=None,
         )
+        docs = docs.repartition(math.ceil(FANOUT_BLOCKS * len(todo) / num_partitions))
+        pages = corpus.pages_from_documents(docs)
         ext = extract_pages(pages, num_partitions=num_partitions)
         ext.write_parquet(
             os.path.join(out_dir, "data"), partition_cols=["part_id"], mode="append"

@@ -168,3 +168,28 @@ def test_corpus_host_skew():
     top = max(set(hosts), key=hosts.count)
     assert top == corpus.HOSTS[0]
     assert hosts.count(top) / len(hosts) > 0.3  # skewed head host
+
+
+def test_html_short_page_boundary_is_25_chars():
+    """Pins today's rule for short HTML pages: a page whose whole text is 24
+    characters has no block of ``MIN_CONTENT_CHARS`` and comes back
+    ``empty``/``no_content_blocks``; at 25 it is ``ok``. The
+    ``extract_pages_text`` and ``quality_by_host_stats`` oracles expect
+    ``ok`` for both, and no testdata doc is this short, so this is the only
+    test that crosses the boundary. Runs the pipeline's own per-batch path:
+    documents row → rendered page → ``ExtractDocuments``."""
+    import pyarrow as pa
+
+    from pdf_extractor_ray.stages.extract import ExtractDocuments
+    from pdf_extractor_ray.stages.html_extract import MIN_CONTENT_CHARS
+
+    assert MIN_CONTENT_CHARS == 25
+    texts = ["short page text of 24 ch", "short page text of 25 chr"]
+    assert [len(t) for t in texts] == [24, 25]
+    doc_ids = [1, 2]  # HTML, well-formed
+    assert not any(corpus.is_pdf_doc(d) or corpus.is_malformed_doc(d) for d in doc_ids)
+    docs = pa.table({"doc_id": pa.array(doc_ids, pa.int64()), "text": texts, "lang": ["en", "en"]})
+    out = ExtractDocuments()(corpus.pages_batch_from_documents(docs)).to_pylist()
+    assert [(r["status"], r["error"]) for r in out] == [("empty", "no_content_blocks"), ("ok", None)]
+    assert out[1]["extracted_text"] == texts[1]
+    assert out[0]["doc_kind"] == out[1]["doc_kind"] == "html"

@@ -4,8 +4,9 @@
 Plain run: executes the headline pipeline (flagship extraction over the
 replicated synthetic pages corpus) plus a panel of representative operator
 queries over ``$GRAFT_SF_DIR`` (default /root/testdata/sf0.1) with
-``ray.init(address="local", num_cpus=$RAY_GRAFT_CPUS)`` (default 32), and
-prints ONE JSON line::
+``ray.init(address="local", num_cpus=$RAY_GRAFT_CPUS)`` (default: the cores
+this process may run on, ``len(os.sched_getaffinity(0))``), and prints ONE
+JSON line::
 
     {"metric": "...", "value": <headline sec>, "unit": "sec", "docs": ...,
      "docs_per_sec": ..., "sf": ..., "num_cpus": N, "panel_count": ...,
@@ -33,7 +34,7 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
 # 192 × sf0.1 = 960k docs: large enough that fixed startup (session spin-up,
 # graph compile, first-block latency) amortizes out of docs/sec — the r2
 # driver bench at 48× measured 81k docs/s for the same pipeline that

@@ -1,7 +1,7 @@
 """Flagship extraction pipeline: pages → extracted (+ quality-by-host stats).
 
 Ray-Data-first shape (SURVEY.md §7.1): ``read_parquet`` (or the synthetic
-pages stage) → one actor-pool ``map_batches`` extraction stage → streaming
+pages stage) → one ``map_batches`` extraction stage → streaming
 consumers (``write_parquet`` partitioned by url-hash, or grouped quality
 stats with per-batch pre-aggregation before the shuffle).
 """
@@ -18,48 +18,30 @@ from ..stages.extract import ExtractDocuments
 
 @lru_cache(maxsize=None)
 def _worker_extractor(num_partitions: int) -> ExtractDocuments:
-    """Task-mode state amortization: one ExtractDocuments per WORKER PROCESS
-    (lru_cache is per-process), so compiled patterns are reused across tasks
-    without paying actor-pool scheduling overhead."""
+    """One ExtractDocuments per WORKER PROCESS (lru_cache is per-process), so
+    compiled patterns are reused across tasks without paying actor-pool
+    scheduling overhead."""
     return ExtractDocuments(num_partitions=num_partitions)
 
 
-def extract_pages(
-    pages_ds,
-    *,
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
-    batch_size: int | None = None,
-    concurrency=None,
-):
+def extract_pages(pages_ds, *, num_partitions: int = DEFAULT_NUM_PARTITIONS):
     """pages Dataset → extracted Dataset (EXTRACTED_SCHEMA rows).
 
-    Default is STATELESS TASKS (concurrency=None): measured 3× faster than an
-    actor pool for this stage on a single node because the extractor's state
-    (compiled regexes, geometry config) is cheap — it is rebuilt lazily once
-    per worker process via ``_worker_extractor``. Pass ``concurrency=N`` or
-    ``(min, max)`` to run as an actor pool instead — the right choice when
-    per-actor state is genuinely expensive (models, codecs); size the pool
-    below the CPU count so upstream read tasks are not starved.
+    Runs as STATELESS TASKS: the extractor's state (compiled regexes,
+    geometry config) is cheap and is built once per worker process via
+    ``_worker_extractor``; an actor pool measured 3× slower for this stage
+    on a single node.
 
     ``batch_size=None`` keeps block-driven batching: Ray otherwise bundles
     upstream blocks up to batch_size INPUT rows, which collapses parallelism
     when input rows are few but heavy (the wide-binary-payload case,
     SURVEY.md §4.2).
     """
-    if concurrency is None:
-        return pages_ds.map_batches(
-            lambda b: _worker_extractor(num_partitions)(b),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-        )
     return pages_ds.map_batches(
-        ExtractDocuments,
-        fn_constructor_kwargs={"num_partitions": num_partitions},
+        lambda b: _worker_extractor(num_partitions)(b),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        batch_size=batch_size,
-        concurrency=concurrency,
+        batch_size=None,
     )
 
 

@@ -8,13 +8,15 @@ sniff per row and extraction errors become ``status="error"`` rows — the
 ok/error column convention that every downstream stage preserves
 (SURVEY.md §7.4 "error semantics").
 
-Implemented as ONE actor-pool ``map_batches`` stage that routes per row
-inside the batch instead of two ``ds.filter`` branch datasets: Ray datasets
-re-execute upstream lineage per consumer, so branching at this point would
-scan (and re-render) every page twice. The actor holds the stateful
-``PdfLayoutExtractor`` (constructed once per actor); the HTML path is a pure
-function. The wide ``html`` binary column is dropped on output so downstream
-blocks shrink (SURVEY.md §4.2 "wide binary rows").
+Implemented as ONE ``map_batches`` stage that routes per row inside the
+batch instead of two ``ds.filter`` branch datasets: Ray datasets re-execute
+upstream lineage per consumer, so branching at this point would scan (and
+re-render) every page twice. Rows are extracted one at a time, in row
+order, so a row's result depends on its payload and url alone — never on
+how rows are split into batches. The stateful ``PdfLayoutExtractor`` is
+built once per worker process (``pipelines/extract.py``); the HTML path is
+a pure function. The wide ``html`` binary column is dropped on output so
+downstream blocks shrink (SURVEY.md §4.2 "wide binary rows").
 """
 
 from __future__ import annotations
@@ -49,26 +51,9 @@ def url_part_id(url: str, num_partitions: int = DEFAULT_NUM_PARTITIONS) -> int:
     return zlib.crc32(url.encode("utf-8")) % num_partitions
 
 
-def _fast_enabled() -> bool:
-    """Opt-in switch for the vectorized batch extraction kernels
-    (GRAFT_FAST_EXTRACT=1 before ray.init in a fresh process).
-
-    Default OFF: the r3 A/B at sf0.1 (fresh process per leg, min-of-3)
-    measured the batch kernels +14% at 8 workers but −8% at 32 workers —
-    their numpy prepass is memory-bandwidth-heavier per doc, and at full
-    node occupancy the shared bus is the bottleneck (scalar: 149k docs/s
-    @32, scaling efficiency 0.979; batch: 137k, 0.791). A production node
-    runs fully occupied, so scalar is the right default; enable the batch
-    path only for low-concurrency deployments. Both paths stay
-    differential-pinned byte-identical (tests/test_html_fast.py)."""
-    import os
-
-    return os.environ.get("GRAFT_FAST_EXTRACT", "") == "1"
-
-
 class ExtractDocuments:
-    """Callable class for ``map_batches`` (actor pool or per-worker-cached
-    task state — see pipelines/extract.py).
+    """Callable class for ``map_batches``; ``pipelines/extract.py`` caches
+    one instance per worker process.
 
     Stateful setup (the extractor registry with its layout-parser geometry
     and compiled token regexes) happens once in ``__init__``; each
@@ -120,11 +105,6 @@ class ExtractDocuments:
             "status", "extracted_text", "spans", "n_blocks", "doc_kind",
             "extractor", "error", "host", "part_id",
         )}
-        # route every row first; rows whose extractor implements
-        # extract_batch are grouped and handed over in ONE call (r3: the
-        # vectorized HTML scanner amortizes over the whole batch)
-        batched: dict[int, tuple] = {}  # id(ex) -> (ex, [row_idx], [payload])
-        fast = _fast_enabled()  # one environ lookup per batch, not per row
         for i, (url, payload) in enumerate(zip(urls, payloads)):
             payload = payload or b""
             head = payload[:64]  # sniffed ONCE, shared by kind + routing
@@ -140,28 +120,7 @@ class ExtractDocuments:
                 })
                 continue
             out["extractor"][i] = ex.name
-            if fast and hasattr(ex, "extract_batch"):
-                grp = batched.setdefault(id(ex), (ex, [], []))
-                grp[1].append(i)
-                grp[2].append(payload)
-            else:
-                self._set_result(out, i, self._extract_row(ex, payload))
-        for ex, idxs, pls in batched.values():
-            try:
-                results = ex.extract_batch(pls)
-                if len(results) != len(pls):
-                    # a short/long result list would leave None placeholders
-                    # that surface later as an opaque Arrow error (ADVICE r3)
-                    raise RuntimeError(
-                        f"extract_batch returned {len(results)} results for "
-                        f"{len(pls)} payloads"
-                    )
-            except Exception:
-                # batch kernel failure degrades to the per-row guard path —
-                # one pathological batch must not fail the task
-                results = [self._extract_row(ex, p) for p in pls]
-            for i, r in zip(idxs, results):
-                self._set_result(out, i, r)
+            self._set_result(out, i, self._extract_row(ex, payload))
 
         return pa.table(
             {

@@ -257,13 +257,6 @@ def extract_html(payload: bytes) -> dict:
             "n_blocks": 0,
             "error": f"parse_error: {type(e).__name__}: {e}",
         }
-    return assemble_result(raw_blocks)
-
-
-def assemble_result(raw_blocks: list[dict]) -> dict:
-    """Blocks → result dict (classify + normalize + span assembly). Shared
-    by the per-doc scanner above and the vectorized batch scanner
-    (stages/html_fast.py), so both paths produce bit-identical results."""
     spans = []
     content = []
     for b in raw_blocks:

@@ -1,6 +1,6 @@
 """PDF-style layout extraction: XY-cut region segmentation + reading order.
 
-The engine's stateful actor-pool branch (north star: pdfminer-style layout
+The engine's stateful extractor (north star: pdfminer-style layout
 parsing; reference analogs: the whitespace-geometry line classifier of
 /root/reference/dataextractai/parsers/wellsfargo_bank_parser.py:41-126 and
 the organizer's page→region→field cascade, organizer_extractor.py:775-1200).
@@ -15,9 +15,9 @@ Payload format (synthetic, see corpus.render_pdf): ``%PDF-1.4`` magic, one
    (one-level XY-cut) to split columns,
 3. read columns left→right, lines top→bottom (descending y), words by x.
 
-``PdfLayoutExtractor`` is a class so ``map_batches(PdfLayoutExtractor, ...)``
-builds it once per actor (compiled patterns + geometry config), matching the
-reference's load-once parser objects (SURVEY.md §2.3).
+``PdfLayoutExtractor`` is a class so its state (compiled patterns + geometry
+config) is built once per worker process (``pipelines/extract.py``), matching
+the reference's load-once parser objects (SURVEY.md §2.3).
 """
 
 from __future__ import annotations

@@ -43,30 +43,6 @@ class HtmlExtractor:
 
         return extract_html(payload)
 
-    def extract_batch(self, payloads: list[bytes]) -> list[dict]:
-        """Batch form (r3): vectorized-prepass scanner for eligible docs,
-        per-doc fallback to ``extract`` otherwise — results bit-identical
-        (tests/test_html_fast.py differential pin). Any per-doc failure in
-        the fast path re-runs that doc through the slow path, so the
-        never-fail-the-job row policy is preserved."""
-        from .html_extract import assemble_result, extract_html
-        from .html_fast import scan_blocks_batch
-
-        try:
-            pre = scan_blocks_batch(payloads)
-        except Exception:  # scanner bug must degrade, not fail the task
-            pre = [None] * len(payloads)
-        out = []
-        for p, rb in zip(payloads, pre):
-            if rb is None:
-                out.append(extract_html(p))
-            else:
-                try:
-                    out.append(assemble_result(rb))
-                except Exception:
-                    out.append(extract_html(p))
-        return out
-
 
 class PdfExtractor:
     """Adapter over the XY-cut layout parser (state built once per instance)."""
@@ -84,21 +60,6 @@ class PdfExtractor:
 
     def extract(self, payload: bytes) -> dict:
         return self._impl.extract(payload)
-
-    def extract_batch(self, payloads: list[bytes]) -> list[dict]:
-        """Batch form (r3): vectorized token parse + numpy reading-order
-        reconstruction for the default geometry; per-doc fallback to the
-        scalar extractor for quirky payloads (differential-pinned)."""
-        from .pdf_fast import extract_pdf_batch
-
-        try:
-            pre = extract_pdf_batch(payloads)
-        except Exception:  # kernel bug must degrade, not fail the task
-            pre = [None] * len(payloads)
-        return [
-            r if r is not None else self._impl.extract(p)
-            for p, r in zip(payloads, pre)
-        ]
 
 
 class ExtractorRegistry:

@@ -10,7 +10,7 @@ from pdf_extractor_ray.pipelines.extract import extract_pages, quality_by_host
 
 def _extract(sf_dir):
     pages = corpus.read_pages(sf_dir)
-    return extract_pages(pages, batch_size=64, concurrency=2)
+    return extract_pages(pages)
 
 
 def test_pipeline_byte_identity_vs_documents(sf_dir, documents_table):
@@ -73,23 +73,30 @@ def test_part_id_is_stable_partitioning_key(sf_dir):
     assert m1 == m2
 
 
-def test_actor_mode_equals_task_mode(sf_dir):
-    """Execution mode (actor pool vs stateless tasks) must not affect
-    results — same rows keyed by url."""
-    a = (
-        extract_pages(corpus.read_pages(sf_dir, fanout_blocks=8))
-        .to_pandas()
-        .set_index("url")
-        .sort_index()
-    )
-    b = (
-        extract_pages(corpus.read_pages(sf_dir, fanout_blocks=8), concurrency=2)
-        .to_pandas()
-        .set_index("url")
-        .sort_index()
-    )
-    for col in ("extracted_text", "status", "n_blocks", "extractor", "part_id"):
-        assert (a[col] == b[col]).all(), col
+def test_extraction_is_independent_of_batch_split_and_order(documents_table):
+    """Aim-3 invariant: the sf0.001 pages extracted as one batch, in 64-row
+    slices and in reversed row order give identical rows keyed by doc_id,
+    and each call keeps its input's row order."""
+    from pdf_extractor_ray.stages.extract import ExtractDocuments
+
+    pages = corpus.pages_batch_from_documents(documents_table)
+    ex = ExtractDocuments()
+
+    def keyed(tables):
+        rows = [r for t in tables for r in t.to_pylist()]
+        return {r["doc_id"]: r for r in rows}
+
+    whole = ex(pages)
+    assert whole.column("doc_id").equals(pages.column("doc_id"))
+    sliced = [ex(pages.slice(i, 64)) for i in range(0, pages.num_rows, 64)]
+    reversed_pages = pages.take(list(range(pages.num_rows - 1, -1, -1)))
+    backwards = ex(reversed_pages)
+    assert backwards.column("doc_id").equals(reversed_pages.column("doc_id"))
+
+    want = keyed([whole])
+    assert len(want) == documents_table.num_rows
+    assert keyed(sliced) == want
+    assert keyed([backwards]) == want
 
 
 def test_extraction_plan_has_no_all_to_all(ray_session):

@@ -1,11 +1,154 @@
-"""Extractor robustness: messy-but-valid structures a crawl actually contains."""
+"""Extractor robustness: messy-but-valid structures a crawl actually contains,
+plus a frozen table of edge payloads whose (status, extracted_text, error)
+is pinned for both extractors and for the routing stage."""
 
 from __future__ import annotations
 
+import ast
+import pathlib
+
+import pyarrow as pa
+
+from pdf_extractor_ray.schemas import EXTRACTED_SCHEMA
+from pdf_extractor_ray.stages.extract import ExtractDocuments
 from pdf_extractor_ray.stages.html_extract import extract_html
 from pdf_extractor_ray.stages.pdf_extract import PdfLayoutExtractor
 
 LONG = "this sentence is long enough to be classified as main content by the density rule"
+L = LONG
+NO_CONTENT = ("empty", "", "no_content_blocks")
+
+# (payload, status, extracted_text, error) as extract_html returns them
+HTML_EDGE_CASES = [
+    (b"", *NO_CONTENT),
+    (b"no tags at all just text " + L.encode(), "ok", f"no tags at all just text {L}", None),
+    (f"<p>{L}</p>".encode(), "ok", L, None),
+    (f"<P>{L}</P>".encode(), "ok", L, None),  # uppercase names
+    (f"<div><p>{L}<p>again {L}".encode(), "ok", f"{L}\nagain {L}", None),  # unclosed
+    (f"<p>{L}<br>{L}</p>".encode(), "ok", f"{L} {L}", None),
+    (f"<p>{L}</br>{L}</p>".encode(), "ok", f"{L} {L}", None),  # closing br quirk
+    (f'<p title="&amp; quoted &lt;attr&gt;">{L}</p>'.encode(), "ok", L, None),
+    (f"<p>&amp; entities &lt;kept&gt; {L}</p>".encode(), "ok", f"& entities <kept> {L}", None),
+    (f"<!DOCTYPE html><html><body><p>{L}</p></body></html>".encode(), "ok", L, None),
+    (f"<script>var x = '</p>';</script><p>{L}</p>".encode(), "ok", L, None),
+    (f"<script/><p>{L}</p>".encode(), "ok", L, None),  # self-closing skip tag
+    (f"<SCRIPT>hidden</SCRIPT><p>{L}</p>".encode(), "ok", L, None),
+    (f"<script>never closed {L}".encode(), *NO_CONTENT),  # raw mode to EOF
+    (f"<style>.a {{color: red}}</style><p>{L}</p>".encode(), "ok", L, None),
+    (f"<a href='/x'>{L}</a>".encode(), *NO_CONTENT),  # fully linked block
+    (f"<a href='/x'><div>{L}</div></a><p>{L} real</p>".encode(), "ok", f"{L} real", None),
+    (
+        f"<div><a href='/x'>broken<p>{L}</p><p>{L} two</p></div>".encode(),
+        "ok", f"{L}\n{L} two", None,
+    ),
+    (f"<a href='/x'><a-icon/><div>{L}</div></a><p>{L} keep</p>".encode(), "ok", f"{L} keep", None),
+    (f"<a/>self closing anchor quirk<p>{L}</p>".encode(), "ok", L, None),
+    (f"<table><tr><td>{L}</td><td>{L}</td></tr></table>".encode(), "ok", f"{L}\n{L}", None),
+    (f"<p>x > y and z>w {L}</p>".encode(), "ok", f"x > y and z>w {L}", None),  # '>' in text
+    (f"<123><p>{L}</p>".encode(), "ok", L, None),  # non-alpha tag = noop
+    (f"</><p>{L}</p>".encode(), "ok", L, None),  # empty close = noop
+    (f"<custom-elem>{L}</custom-elem>".encode(), "ok", L, None),  # unknown tag
+    (f"<figcaption>{L}</figcaption>".encode(), "ok", L, None),  # long known name
+    (f"<blockquote>{L}</blockquote>".encode(), "ok", L, None),
+    (f"<p>{L}".encode(), "ok", L, None),  # unterminated trailing tag
+    (f"<p>{L}</p><a".encode(), "ok", L, None),  # bare trailing '<a'
+    (f"<p>{L}<".encode(), "ok", L, None),  # bare trailing '<'
+    (f"<!-- comment with > inside --><p>{L}</p>".encode(), "ok", L, None),
+    (f"<div><a href='/x'>t<!-- </a> --></div><p>{L} after</p>".encode(), "ok", f"{L} after", None),
+    (f"< p >{L}</p>".encode(), "ok", L, None),  # whitespace after '<'
+    (f"</ div><p>{L}</p>".encode(), "ok", L, None),  # whitespace after '</'
+    (f"<a <b>{L}</p>".encode(), *NO_CONTENT),  # '<' swallowed inside a tag token
+    (f"<p>naïve café {L}</p>".encode(), "ok", f"naïve café {L}", None),  # non-ASCII
+    ("<p>日本語のテキスト</p>".encode(), *NO_CONTENT),  # one short block
+    (b"\xff\xfe broken bytes", "error", "", "decode_error: invalid start byte"),
+]
+
+# (payload, status, extracted_text, error) as PdfLayoutExtractor returns them
+PDF_EDGE_CASES = [
+    (b"%PDF-1.4\nT 0 72 720 hello\nT 0 112 720 world\n%%EOF\n", "ok", "hello world", None),
+    (b"%PDF-1.4\nT 0 72 720 one\nT 0 330 720 two\n%%EOF\n", "ok", "one two", None),  # columns
+    (b"%PDF-1.4\nT 1 72 720 later\nT 0 72 720 first\n%%EOF\n", "ok", "first later", None),
+    (
+        b"%PDF-1.4\nT 0 72 770 header\nT 0 72 30 footer\nT 0 72 720 body\n%%EOF\n",
+        "ok", "body", None,
+    ),
+    (
+        b"%PDF-1.4\nT 0 72 720 1203\nT 0 112 720 45.00\nT 0 152 720 1,250\n%%EOF\n",
+        "ok", "1203 45.00 1,250", None,
+    ),
+    (
+        b"%PDF-1.4\nT 0 72 720 12.3.4\nT 0 112 720 .5\nT 0 152 720 5.\n%%EOF\n",
+        "ok", "12.3.4 .5 5.", None,
+    ),
+    (b"%PDF-1.4\n%%EOF\n", "empty", "", "no_content_tokens"),
+    (b"%PDF-1.4\n% a comment line\nT 0 72 720 ok\n%%EOF\n", "ok", "ok", None),
+    (b"%PDF-1.4\nT 0 72 720 body", "error", "", "missing_eof"),
+    (b"not a pdf at all", "error", "", "bad_magic"),
+    (b"", "error", "", "bad_magic"),
+    (b"%PDF-1.4\nT abc def\n%%EOF\n", "error", "", "bad_token_line: 'T abc def'"),
+    (
+        b"%PDF-1.4\nT 0 72 720 two words\n%%EOF\n",  # space inside a word
+        "error", "", "bad_token_line: 'T 0 72 720 two words'",
+    ),
+    (b"%PDF-1.4\nTx 0 72 720 w\n%%EOF\n", "error", "", "bad_token_line: 'Tx 0 72 720 w'"),
+    (b"%PDF-1.4\nT 0 72 720 caf\xc3\xa9\n%%EOF\n", "ok", "café", None),  # non-ASCII
+    (b"%PDF-1.4\nT 0 72 720 w\njunk line\n%%EOF\n", "error", "", "bad_token_line: 'junk line'"),
+    (b"%PDF-1.4\nT 00 072 0720 zeros\n%%EOF\n", "ok", "zeros", None),  # leading zeros
+    (b"%PDF-1.4\nT 0 72 720 a\n\n\nT 0 112 720 b\n%%EOF\n", "ok", "a b", None),  # blank lines
+    (
+        b"%PDF-1.4\nT 0 72 720 one\nT 0 150 720 two\nT 0 520 720 three\n%%EOF\n",
+        "ok", "one two three", None,
+    ),
+]
+
+# payloads whose head sniffs as neither HTML nor PDF: the routing stage
+# never hands them to an extractor
+UNROUTED = {b"", b"no tags at all just text " + L.encode(), b"\xff\xfe broken bytes", b"not a pdf at all"}
+
+
+def _result(r: dict) -> tuple:
+    return r["status"], r["extracted_text"], r["error"]
+
+
+def test_html_edge_payloads_are_pinned():
+    for payload, *want in HTML_EDGE_CASES:
+        assert _result(extract_html(payload)) == tuple(want), payload[:60]
+
+
+def test_pdf_edge_payloads_are_pinned():
+    ex = PdfLayoutExtractor()
+    for payload, *want in PDF_EDGE_CASES:
+        assert _result(ex.extract(payload)) == tuple(want), payload[:60]
+
+
+def test_extract_documents_over_all_edge_payloads():
+    """One routing-stage call over every edge payload: one EXTRACTED_SCHEMA
+    row per payload, in input order, each with its extractor's pinned
+    result (or the routing error when no extractor claims the head)."""
+    cases = [(c, "html_density_v1") for c in HTML_EDGE_CASES]
+    cases += [(c, "pdf_xycut_v1") for c in PDF_EDGE_CASES]
+    payloads = [c[0] for c, _ in cases]
+    n = len(payloads)
+    assert n == 57
+    batch = pa.table(
+        {
+            "doc_id": pa.array(range(n), pa.int64()),
+            "url": [f"https://edge.example/{i}" for i in range(n)],
+            "html": pa.array(payloads, pa.binary()),
+            "lang": ["en"] * n,
+        }
+    )
+    out = ExtractDocuments()(batch)
+    assert out.schema == EXTRACTED_SCHEMA
+    assert out.column("doc_id").to_pylist() == list(range(n))
+    n_unrouted = 0
+    for ((payload, *want), name), row in zip(cases, out.to_pylist()):
+        if payload in UNROUTED:
+            n_unrouted += 1
+            want, name = ["error", "", "unknown_payload_kind"], "none"
+        assert _result(row) == tuple(want), payload[:60]
+        assert row["extractor"] == name
+    assert n_unrouted == 5
 
 
 def test_html_comments_and_script_content_are_ignored():
@@ -235,3 +378,21 @@ def test_card_link_blocks_are_boilerplate():
     ).encode()
     r4 = extract_html(tricky)
     assert r4["extracted_text"] == f"{LONG} keep"
+
+
+def test_extraction_path_reads_no_environment():
+    """Extraction output and path are a function of the input alone: no
+    module on the extraction path may read an environment variable, so no
+    user-set switch can change which code extracts a page."""
+    pkg = pathlib.Path(__file__).resolve().parent.parent / "pdf_extractor_ray"
+    files = sorted((pkg / "stages").glob("*.py")) + [pkg / "pipelines" / "extract.py"]
+    assert len(files) > 5
+    hits = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                hits.append(f"{path.name}:{node.lineno} {node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                hits += [f"{path.name}:{node.lineno} {a.name}" for a in node.names
+                         if a.name in ("environ", "getenv")]
+    assert not hits, hits

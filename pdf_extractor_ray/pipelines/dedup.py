@@ -21,6 +21,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.sketches import MinHasher, char_ngrams, jaccard, shingles, simhash64
+from .buckets import cogroup
 
 NUM_PERM = 64
 NUM_BANDS = 16  # 16 bands × 4 rows → catches J≳0.6 with high prob
@@ -181,32 +182,25 @@ def minhash_candidates_ds(docs_ds, concurrency=None, mode: str = "word"):
     return hot_rows.groupby(["band_id", "band_hash"]).map_groups(pairs, batch_format="pandas")
 
 
-def _hot_int_keys(ds, key_fn, n_buckets: int = 64) -> np.ndarray | None:
+def _hot_int_keys(ds, key_fn) -> np.ndarray | None:
     """Int64 keys with ≥2 members in ``ds``, via per-batch partial counts
     and ONE bucket-level grouped merge — no per-key Ray groups (the native
     Count aggregate had one group per DISTINCT key ≈ corpus × bands).
     ``key_fn(batch) -> np.ndarray[int64]``. None when nothing is hot."""
 
     def hot_partial(t: pa.Table) -> pa.Table:
-        p = (
+        return (
             pa.table({"k": pa.array(key_fn(t), type=pa.int64())})
             .group_by("k")
             .aggregate([("k", "count")])
             .rename_columns(["k", "n"])
         )
-        k = p.column("k").to_numpy(zero_copy_only=False)
-        return p.append_column("_bucket", pa.array(k % n_buckets, type=pa.int64()))
 
     def hot_merge(g: pd.DataFrame) -> pd.DataFrame:
         s = g.groupby("k", sort=False, as_index=False)["n"].sum()
         return s.loc[s["n"] >= 2, ["k"]]
 
-    hot = (
-        ds.map_batches(hot_partial, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(hot_merge, batch_format="pandas")
-        .to_pandas()
-    )
+    hot = cogroup(ds.map_batches(hot_partial, batch_format="pyarrow"), "k", hot_merge).to_pandas()
     if len(hot) == 0:
         return None
     return hot["k"].to_numpy(dtype=np.int64)
@@ -297,109 +291,46 @@ def _jaccard_char_ngrams(x: str, y: str) -> float:
     return jaccard(char_ngrams(x), char_ngrams(y))
 
 
-def _verify_pairs_cogrouped(pairs_ds, texts_ds, sim_fn, threshold: float, n_buckets: int = 32):
+def _verify_pairs_cogrouped(pairs_ds, texts_ds, sim_fn, threshold: float):
     """Exact-similarity verify with NO driver-side text map: co-group
     candidate pairs with candidate texts by hash bucket and join + verify
-    inside ``map_groups`` (VERDICT r1 #1).
+    inside the bucket (VERDICT r1 #1).
 
-    Two bucketed join stages (attach text_a, then attach text_b + verify);
-    each shuffles only candidate-fraction rows into ``n_buckets`` groups, so
-    no per-key tiny-group stage (NOTES: ~1 ms/group trap) and no full-corpus
-    read anywhere off the workers."""
+    Two ``cogroup`` stages (attach text_a, then attach text_b + verify);
+    each shuffles only candidate-fraction rows, so no per-key tiny-group
+    stage (NOTES: ~1 ms/group trap) and no full-corpus read anywhere off
+    the workers. The doc ids stay int64 end to end (``cogroup`` pads no
+    side with nulls), so ids ≥ 2^53 are never rounded through float64."""
 
-    # sides are tagged with an explicit is_text flag, NOT null int columns:
-    # a nullable int64 union column becomes float64 in the pandas group and
-    # silently rounds doc ids ≥ 2^53 (review r2) — dummy zeros keep the int
-    # columns int64 end to end
-    def stage_a_rows(t: pa.Table) -> pa.Table:
-        k = t.column("doc_a").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bucket": pa.array(k % n_buckets, type=pa.int64()),
-                "k": pa.array(k, type=pa.int64()),
-                "doc_b": t.column("doc_b"),
-                "text": pa.nulls(t.num_rows, pa.string()),
-                "is_text": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-            }
-        )
-
-    def text_rows_a(t: pa.Table) -> pa.Table:
-        k = t.column("doc_id").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bucket": pa.array(k % n_buckets, type=pa.int64()),
-                "k": pa.array(k, type=pa.int64()),
-                "doc_b": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-                "text": t.column("text"),
-                "is_text": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-            }
-        )
-
-    def attach_a(g: pd.DataFrame) -> pd.DataFrame:
-        is_text = g["is_text"] == 1
-        tmap = dict(zip(g.loc[is_text, "k"], g.loc[is_text, "text"]))
-        p = g.loc[~is_text]
+    def attach_a(pairs: pd.DataFrame, texts: pd.DataFrame) -> pd.DataFrame:
+        tmap = dict(zip(texts["doc_a"], texts["text"]))
         return pd.DataFrame(
             {
-                "doc_a": p["k"].to_numpy(dtype=np.int64),
-                "doc_b": p["doc_b"].to_numpy(dtype=np.int64),
-                "text_a": p["k"].map(tmap).to_numpy(),
+                "doc_a": pairs["doc_a"].to_numpy(dtype=np.int64),
+                "doc_b": pairs["doc_b"].to_numpy(dtype=np.int64),
+                "text_a": pairs["doc_a"].map(tmap).to_numpy(),
             }
         )
 
-    with_a = (
-        pairs_ds.map_batches(stage_a_rows, batch_format="pyarrow")
-        .union(texts_ds.map_batches(text_rows_a, batch_format="pyarrow"))
-        .groupby("bucket")
-        .map_groups(attach_a, batch_format="pandas")
-    )
-
-    def stage_b_rows(t: pa.Table) -> pa.Table:
-        k = t.column("doc_b").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bucket": pa.array(k % n_buckets, type=pa.int64()),
-                "k": pa.array(k, type=pa.int64()),
-                "doc_a": t.column("doc_a"),
-                "text_a": t.column("text_a"),
-                "text": pa.nulls(t.num_rows, pa.string()),
-                "is_text": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-            }
-        )
-
-    def text_rows_b(t: pa.Table) -> pa.Table:
-        k = t.column("doc_id").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bucket": pa.array(k % n_buckets, type=pa.int64()),
-                "k": pa.array(k, type=pa.int64()),
-                "doc_a": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-                "text_a": pa.nulls(t.num_rows, pa.string()),
-                "text": t.column("text"),
-                "is_text": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-            }
-        )
-
-    def attach_b_verify(g: pd.DataFrame) -> pd.DataFrame:
-        is_text = g["is_text"] == 1
-        tmap = dict(zip(g.loc[is_text, "k"], g.loc[is_text, "text"]))
-        p = g.loc[~is_text]
-        doc_a = p["doc_a"].to_numpy(dtype=np.int64)
-        doc_b = p["k"].to_numpy(dtype=np.int64)
+    def attach_b_verify(pairs: pd.DataFrame, texts: pd.DataFrame) -> pd.DataFrame:
+        tmap = dict(zip(texts["doc_b"], texts["text"]))
+        doc_a = pairs["doc_a"].to_numpy(dtype=np.int64)
+        doc_b = pairs["doc_b"].to_numpy(dtype=np.int64)
         jac = np.round(
-            [sim_fn(ta, tmap[b]) for ta, b in zip(p["text_a"], doc_b)], 6
+            [sim_fn(ta, tmap[b]) for ta, b in zip(pairs["text_a"], doc_b)], 6
         )
         m = jac >= threshold
         return pd.DataFrame(
             {"doc_a": doc_a[m], "doc_b": doc_b[m], "jaccard_r": jac[m]}
         )
 
-    return (
-        with_a.map_batches(stage_b_rows, batch_format="pyarrow")
-        .union(texts_ds.map_batches(text_rows_b, batch_format="pyarrow"))
-        .groupby("bucket")
-        .map_groups(attach_b_verify, batch_format="pandas")
-    )
+    def texts_keyed_by(col: str):
+        return texts_ds.map_batches(
+            lambda t: pa.table({col: t.column("doc_id"), "text": t.column("text")}), batch_format="pyarrow"
+        )
+
+    with_a = cogroup([pairs_ds.select_columns(["doc_a", "doc_b"]), texts_keyed_by("doc_a")], "doc_a", attach_a)
+    return cogroup([with_a, texts_keyed_by("doc_b")], "doc_b", attach_b_verify)
 
 
 _EMPTY_PAIRS = {
@@ -480,54 +411,31 @@ def minhash_near_dup_ds(docs_ds, threshold: float = 0.6):
     return _dedup_verified(verified, "doc_a", "doc_b", "jaccard_r")
 
 
-#: groups-per-shuffle for the distributed components rounds — every grouped
-#: stage groups by ``node % N_CC_BUCKETS`` (bucket-level), never per node or
-#: per edge: Ray's grouped stages cost ~1 ms per map_groups group and
-#: ~0.4 ms per aggregate group (NOTES), which at 10^7+ nodes is hours per
-#: round on exactly the path that exists for big graphs (VERDICT r2 #2).
-N_CC_BUCKETS = 64
-
-
-def _add_mod_bucket(col: str, n_buckets: int = N_CC_BUCKETS):
-    """map_batches fn: append ``_bucket = col % n_buckets`` (vectorized)."""
-
-    def add(t: pa.Table) -> pa.Table:
-        k = t.column(col).to_numpy(zero_copy_only=False).astype(np.int64)
-        return t.append_column("_bucket", pa.array(k % n_buckets, type=pa.int64()))
-
-    return add
-
-
-def _bucket_distinct(ds, cols: list[str], n_buckets: int = N_CC_BUCKETS):
-    """Distinct rows via one bucket-level grouped stage: bucket on the first
-    column, ``drop_duplicates`` vectorized inside the bucket group. Replaces
+def _bucket_distinct(ds, cols: list[str]):
+    """Distinct rows via one bucket-level ``cogroup`` on the first column,
+    ``drop_duplicates`` vectorized inside the bucket. Replaces
     ``groupby(cols).count()`` dedup, whose group count equals the DISTINCT
-    ROW count (the per-group cost trap above)."""
+    ROW count: Ray's grouped stages cost ~1 ms per map_groups group and
+    ~0.4 ms per aggregate group (NOTES)."""
 
     def distinct(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(cols).drop(columns=["_bucket"])
+        return g.drop_duplicates(cols)
 
-    return (
-        ds.map_batches(_add_mod_bucket(cols[0], n_buckets), batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(distinct, batch_format="pandas")
-    )
+    return cogroup(ds, cols[0], distinct)
 
 
-def _bucket_min_by_node(ds, node_col: str, val_col: str, n_buckets: int = N_CC_BUCKETS):
+def _bucket_min_by_node(ds, node_col: str, val_col: str):
     """Per-node min via bucket-level groups: partial per-batch combiner
     (pa.Table.group_by) shrinks the shuffle, then one pandas groupby-min per
     BUCKET. Replaces ``groupby(node).aggregate(Min)`` (one group per node)."""
 
     def partial(t: pa.Table) -> pa.Table:
-        r = (
+        return (
             t.select([node_col, val_col])
             .group_by(node_col)
             .aggregate([(val_col, "min")])
             .rename_columns([node_col, val_col])
         )
-        k = r.column(node_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        return r.append_column("_bucket", pa.array(k % n_buckets, type=pa.int64()))
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
         m = g.groupby(node_col, sort=False)[val_col].min()
@@ -538,11 +446,7 @@ def _bucket_min_by_node(ds, node_col: str, val_col: str, n_buckets: int = N_CC_B
             }
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(combine, batch_format="pandas")
-    )
+    return cogroup(ds.map_batches(partial, batch_format="pyarrow"), node_col, combine)
 
 
 def connected_components(
@@ -606,70 +510,41 @@ def connected_components(
         b = t.column(col_b).to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {
-                "key": pa.array(np.concatenate([a, b])),
+                "node": pa.array(np.concatenate([a, b])),
                 "dst": pa.array(np.concatenate([b, a])),
             }
         )
 
     edges = _bucket_distinct(
-        pairs_ds.map_batches(sym_edges, batch_format="pyarrow"), ["key", "dst"]
+        pairs_ds.map_batches(sym_edges, batch_format="pyarrow"), ["node", "dst"]
     ).materialize()
     labels = (
         _bucket_distinct(
             edges.map_batches(
-                lambda t: t.select(["key"]), batch_format="pyarrow"
+                lambda t: t.select(["node"]), batch_format="pyarrow"
             ),
-            ["key"],
+            ["node"],
         )
         .map_batches(
-            lambda t: pa.table({"node": t.column("key"), "label": t.column("key")}),
+            lambda t: pa.table({"node": t.column("node"), "label": t.column("node")}),
             batch_format="pyarrow",
         )
         .materialize()
     )
 
     # round primitive, bucket-level end to end (VERDICT r2 #2): co-locate
-    # each node's label row with its outgoing edges by key-bucket, emit
-    # (neighbour, my_label) + (self, my_label) messages with a vectorized
-    # within-bucket label map, partial-min the messages per bucket, then a
-    # second bucket-level per-node min combines across source buckets. Sides
-    # carry an explicit is_label int8 flag with dummy-zero int columns (a
-    # nullable int64 union column becomes float64 in the pandas group and
-    # silently rounds ids ≥ 2^53 — same discipline as _verify_pairs_cogrouped).
-    def tag_labels(t: pa.Table) -> pa.Table:
-        k = t.column("node").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "_bucket": pa.array(k % N_CC_BUCKETS, type=pa.int64()),
-                "key": t.column("node"),
-                "label": t.column("label"),
-                "dst": pa.array(np.zeros(len(k), dtype=np.int64)),
-                "is_label": pa.array(np.ones(len(k), dtype=np.int8)),
-            }
-        )
-
-    def tag_edges(t: pa.Table) -> pa.Table:
-        k = t.column("key").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "_bucket": pa.array(k % N_CC_BUCKETS, type=pa.int64()),
-                "key": t.column("key"),
-                "label": pa.array(np.zeros(len(k), dtype=np.int64)),
-                "dst": t.column("dst"),
-                "is_label": pa.array(np.zeros(len(k), dtype=np.int8)),
-            }
-        )
-
-    def gen_msgs(g: pd.DataFrame) -> pd.DataFrame:
-        is_l = g["is_label"] == 1
-        lbl = g.loc[is_l]
-        lmap = lbl.set_index("key")["label"]
-        e = g.loc[~is_l]
+    # each node's label row with its outgoing edges by key-bucket
+    # (``cogroup``), emit (neighbour, my_label) + (self, my_label) messages
+    # with a vectorized within-bucket label map, partial-min the messages
+    # per bucket, then a second bucket-level per-node min combines across
+    # source buckets.
+    def gen_msgs(lbl: pd.DataFrame, e: pd.DataFrame) -> pd.DataFrame:
+        lmap = lbl.set_index("node")["label"]
         node = np.concatenate(
-            [lbl["key"].to_numpy(dtype=np.int64), e["dst"].to_numpy(dtype=np.int64)]
+            [lbl["node"].to_numpy(dtype=np.int64), e["dst"].to_numpy(dtype=np.int64)]
         )
         label = np.concatenate(
-            [lbl["label"].to_numpy(dtype=np.int64), e["key"].map(lmap).to_numpy(dtype=np.int64)]
+            [lbl["label"].to_numpy(dtype=np.int64), e["node"].map(lmap).to_numpy(dtype=np.int64)]
         )
         # partial per-node min INSIDE the source bucket: a hub node addressed
         # by many edges here contributes one row to the node-bucket shuffle
@@ -683,12 +558,7 @@ def connected_components(
 
     prev_sum = None
     for _ in range(max_rounds):
-        msgs = (
-            labels.map_batches(tag_labels, batch_format="pyarrow")
-            .union(edges.map_batches(tag_edges, batch_format="pyarrow"))
-            .groupby("_bucket")
-            .map_groups(gen_msgs, batch_format="pandas")
-        )
+        msgs = cogroup([labels, edges], "node", gen_msgs)
         # materialize per round: bounds the lineage (otherwise each round
         # re-executes every prior round per consumer) — the label table is
         # one (node, label) row per node, tiny next to the corpus. The
@@ -825,14 +695,7 @@ def connected_components_star(pairs_ds, col_a: str = "doc_a", col_b: str = "doc_
 
     def bucketed_phase(ds, phase_fn):
         """One star phase + duplicate-drop in bucket-level groups of u."""
-        return _bucket_distinct(
-            ds.map_batches(_add_mod_bucket("u"), batch_format="pyarrow")
-            .groupby("_bucket")
-            .map_groups(
-                lambda g: phase_fn(g.drop(columns=["_bucket"])), batch_format="pandas"
-            ),
-            ["u", "v"],
-        )
+        return _bucket_distinct(cogroup(ds, "u", phase_fn), ["u", "v"])
 
     prev_sig = None
     converged = False
@@ -927,22 +790,18 @@ def simhash_dup_groups(sf_dir: str):
     → groups with >1 member (near-dup at Hamming distance 0; Hamming ≤3 is
     simhash_near_dup's banded path).
 
-    Shape (r3): per-batch (simhash, n, min_doc) partials merged in 64
-    fingerprint-prefix buckets — the native per-fingerprint Count/Min paid
+    Shape (r3): per-batch (simhash, n, min_doc) partials merged in
+    fingerprint-hash buckets (``cogroup``) — the native per-fingerprint Count/Min paid
     the per-group aggregate tax on a corpus-sized key space, and the >1
     filter was a per-row Python lambda; both are now vectorized in the
     bucket merge."""
 
     def partial(t: pa.Table) -> pa.Table:
-        p = (
+        return (
             t.group_by("simhash")
             .aggregate([("doc_id", "count"), ("doc_id", "min")])
             .rename_columns(["simhash", "n_docs", "rep_doc"])
         )
-        from ..functions.hashing import hex_prefix_int64
-
-        bucket = hex_prefix_int64(p.column("simhash")) % 64
-        return p.append_column("_bucket", pa.array(bucket))
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         m = g.groupby("simhash", sort=False, as_index=False).agg(
@@ -950,12 +809,8 @@ def simhash_dup_groups(sf_dir: str):
         )
         return m.loc[m["n_docs"] > 1, ["simhash", "n_docs", "rep_doc"]]
 
-    return (
-        simhash_fingerprints(sf_dir)
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(merge, batch_format="pandas")
-    )
+    partials = simhash_fingerprints(sf_dir).map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+    return cogroup(partials, "simhash", merge)
 
 
 #: 64-bit fingerprint split into four disjoint 16-bit chunks: two
@@ -1068,23 +923,19 @@ def simhash_near_dup_ds(fp_ds, max_hamming: int = 3, widen_docs: int | None = No
         return t.filter(pa.compute.is_in(t.column("bucket"), value_set=ray.get(hot_ref)))
 
     def pairs_verify(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop_duplicates("doc_id").sort_values("doc_id")
-        ids = g["doc_id"].to_numpy(dtype=np.int64)
-        if len(ids) < 2:
-            return empty
-        fps = g["fp"].to_numpy(dtype=np.int64).view(np.uint64)
-        ia, ib = np.triu_indices(len(ids), k=1)
-        ham = popcount64_vec(fps[ia] ^ fps[ib])
-        m = ham <= max_hamming
-        return pd.DataFrame(
-            {"doc_a": ids[ia][m], "doc_b": ids[ib][m], "hamming": ham[m]}
-        )
+        # every close pair within each band bucket of this hash bucket
+        out = [empty]
+        for _, band in g.groupby("bucket", sort=False):
+            band = band.drop_duplicates("doc_id").sort_values("doc_id")
+            ids = band["doc_id"].to_numpy(dtype=np.int64)
+            fps = band["fp"].to_numpy(dtype=np.int64).view(np.uint64)
+            ia, ib = np.triu_indices(len(ids), k=1)
+            ham = popcount64_vec(fps[ia] ^ fps[ib])
+            m = ham <= max_hamming
+            out.append(pd.DataFrame({"doc_a": ids[ia][m], "doc_b": ids[ib][m], "hamming": ham[m]}))
+        return pd.concat(out, ignore_index=True)
 
-    verified = (
-        bands.map_batches(in_hot, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(pairs_verify, batch_format="pandas")
-    )
+    verified = cogroup(bands.map_batches(in_hot, batch_format="pyarrow"), "bucket", pairs_verify)
     return _dedup_verified(verified, "doc_a", "doc_b", "hamming")
 
 
@@ -1215,12 +1066,11 @@ def source_minhash_similarity(sf_dir: str, num_perm: int = 128, shingle_k: int =
     # shingle-hash) pairs; ONE shingle-hash bucket co-group builds the
     # per-bucket source×shingle incidence and emits the S×S intersection
     # partial (M.T @ M) plus per-source distinct counts — a shingle lives
-    # in exactly one bucket, so partials ADD; the driver sums 64 S²-int
-    # rows and closes the algebra (union = |A|+|B|−inter). Ground truth
+    # in exactly one bucket, so partials ADD; the driver sums one S²-int
+    # row per bucket and closes the algebra (union = |A|+|B|−inter). Ground truth
     # for the MinHash estimator, which samples this exact universe.
     sidx = {s: i for i, s in enumerate(names)}
     S = len(names)
-    B = 64
 
     def sh_pairs(t: pa.Table) -> pa.Table:
         texts = t.column("text").to_pylist()
@@ -1233,7 +1083,6 @@ def source_minhash_similarity(sf_dir: str, num_perm: int = 128, shingle_k: int =
         df = pd.DataFrame({"si": si, "h": concat.astype(np.int64)}).drop_duplicates()
         return pa.table(
             {
-                "_bucket": pa.array(df["h"].to_numpy() % B),
                 "si": pa.array(df["si"].to_numpy()),
                 "h": pa.array(df["h"].to_numpy()),
             }
@@ -1247,12 +1096,9 @@ def source_minhash_similarity(sf_dir: str, num_perm: int = 128, shingle_k: int =
         inter = m.T @ m  # S×S; diagonal = per-source distinct counts
         return pd.DataFrame({"flat": [inter.ravel().tolist()]})
 
-    parts = (
-        ds.map_batches(sh_pairs, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(bucket_inter, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = cogroup(
+        ds.map_batches(sh_pairs, batch_format="pyarrow", zero_copy_batch=True), "h", bucket_inter
+    ).to_pandas()
     inter = np.sum(
         np.stack([np.asarray(v, dtype=np.int64) for v in parts["flat"]]), axis=0
     ).reshape(S, S)

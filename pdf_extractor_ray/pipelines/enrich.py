@@ -421,13 +421,13 @@ def fuzzy_edit_join(sf_dir: str, threshold: float = 0.8, n_lookup: int = 50, n_p
 
 def asof_join_last_signup(sf_dir: str):
     """For every purchase event, the most recent signup ts of the same user
-    (backward as-of join). Bucket by user-hash (``map_key_buckets`` — never
+    (backward as-of join). Bucket by user-hash (``cogroup`` — never
     one Ray group per user), sort the bucket by (user, ts, kind, event_id)
     with signups BEFORE purchases at equal ts (allow_exact_matches
     semantics), then the as-of lookup is a segment-wise groupby-ffill of the
     signup timestamps — the documented pattern for as-of/range joins Ray
     Data lacks natively."""
-    from .relational import map_key_buckets
+    from .buckets import cogroup
 
     ev = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
     both = ev.map_batches(
@@ -454,4 +454,4 @@ def asof_join_last_signup(sf_dir: str):
         out["last_signup"] = out["last_signup"].where(out["last_signup"].notna(), None)
         return out
 
-    return map_key_buckets(both, "user_id", asof_b)
+    return cogroup(both, "user_id", asof_b)

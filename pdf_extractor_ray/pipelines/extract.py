@@ -47,18 +47,16 @@ def extract_pages(pages_ds, *, num_partitions: int = DEFAULT_NUM_PARTITIONS):
 
 def dedup_extracted_by_url(extracted_ds):
     """Exact dedup on the url key (§2.7, normalize_api.py:21-33 semantics):
-    hash-partition on url via groupby, keep the deterministic representative
+    hash co-group on url (``cogroup``), keep the deterministic representative
     (first by (status, doc_id) — prefers an ok row over an error row for the
     same url, then the lowest doc_id). Used on re-crawled corpora where the
     unique-url input invariant does not hold."""
     import numpy as np
     import pandas as pd
 
-    from ..functions.hashing import fnv1a64_arrow
+    from .buckets import cogroup
 
-    n_buckets = 64
-
-    def add_keys(t: pa.Table) -> pa.Table:
+    def add_rank_key(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
         status = t.column("status")
@@ -75,26 +73,16 @@ def dedup_extracted_by_url(extracted_ds):
         if doc.size and int(doc.max()) >= (1 << 52):
             raise ValueError("dedup_extracted_by_url: doc_id >= 2^52 breaks the packed rank key")
         key = rank * np.int64(1 << 52) + doc
-        # vectorized buffer-view hash (bucket id only — any stable hash
-        # works; the old zlib.crc32 fromiter was a per-row Python trip)
-        bucket = (fnv1a64_arrow(t.column("url")) % np.uint64(n_buckets)).astype(
-            np.int64
-        )
-        return t.append_column("_rank_key", pa.array(key)).append_column(
-            "_bucket", pa.array(bucket)
-        )
+        return t.append_column("_rank_key", pa.array(key))
 
     def pick(g: pd.DataFrame) -> pd.DataFrame:
         # one group per url-hash BUCKET, not per url (NOTES: ~1 ms/group for
         # tiny groups); the per-url argmin is vectorized pandas inside
         idx = g.groupby("url")["_rank_key"].idxmin()
-        return g.loc[idx].drop(columns=["_rank_key", "_bucket"])
+        return g.loc[idx].drop(columns=["_rank_key"])
 
-    return (
-        extracted_ds.map_batches(add_keys, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(pick, batch_format="pandas")
-    )
+    ranked = extracted_ds.map_batches(add_rank_key, batch_format="pyarrow", zero_copy_batch=True)
+    return cogroup(ranked, "url", pick)
 
 
 def _quality_partials(batch: pa.Table) -> pa.Table:

@@ -14,9 +14,14 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .relational import N_KEY_BUCKETS, _read
+from .buckets import N_KEY_BUCKETS, cogroup
+from .relational import _read
 
 DAMPING = 0.85
+
+#: fixed bucket grid of the PageRank step, which routes each round's
+#: dangling mass to bucket -1 (one of the sites ``buckets.py`` names)
+PAGERANK_BUCKETS = N_KEY_BUCKETS
 
 
 def _customer_supplier_edges(sf_dir: str, min_qty: int | None = None):
@@ -42,63 +47,27 @@ def _customer_supplier_edges(sf_dir: str, min_qty: int | None = None):
         )
 
     SUPP_OFF = np.int64(1) << np.int64(32)
-    B = N_KEY_BUCKETS
+    orders = orders.rename_columns({"o_orderkey": "l_orderkey"})
 
-    def tag_orders(t: pa.Table) -> pa.Table:
-        k = t.column("o_orderkey").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "key": pa.array(k),
-                "_bucket": pa.array(k % B),
-                "cust": t.column("o_custkey").cast(pa.int64()),
-                "supp": pa.array(np.full(len(k), -1, dtype=np.int64)),
-            }
-        )
-
-    def tag_items(t: pa.Table) -> pa.Table:
-        k = t.column("l_orderkey").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "key": pa.array(k),
-                "_bucket": pa.array(k % B),
-                "cust": pa.array(np.full(len(k), -1, dtype=np.int64)),
-                "supp": t.column("l_suppkey").cast(pa.int64()),
-            }
-        )
-
-    tagged = orders.map_batches(
-        tag_orders, batch_format="pyarrow", zero_copy_batch=True
-    ).union(items.map_batches(tag_items, batch_format="pyarrow", zero_copy_batch=True))
-
-    def join(g: pd.DataFrame) -> pd.DataFrame:
-        o = g[g["supp"] < 0][["key", "cust"]]
-        li = g[g["cust"] < 0][["key", "supp"]]
-        m = li.merge(o, on="key")[["cust", "supp"]].drop_duplicates()
+    def join(o: pd.DataFrame, li: pd.DataFrame) -> pd.DataFrame:
+        m = li.merge(o, on="l_orderkey")[["o_custkey", "l_suppkey"]].drop_duplicates()
         return pd.DataFrame(
             {
-                "src": m["cust"].to_numpy(dtype=np.int64),
-                "dst": m["supp"].to_numpy(dtype=np.int64) + SUPP_OFF,
+                "src": m["o_custkey"].to_numpy(dtype=np.int64),
+                "dst": m["l_suppkey"].to_numpy(dtype=np.int64) + SUPP_OFF,
             }
         )
 
-    joined = tagged.groupby("_bucket").map_groups(join, batch_format="pandas")
+    joined = cogroup([orders, items], "l_orderkey", join)
 
     # the in-bucket dedup above is per ORDER bucket; the same (cust, supp)
     # pair recurs across orders in other buckets — global distinct needs one
     # src-keyed pass (a pair's bucket is a pure function of src, so the
     # distinct is exact and stays vectorized).
-    def src_bucket(t: pa.Table) -> pa.Table:
-        s = t.column("src").to_numpy(zero_copy_only=False)
-        return t.append_column("_bucket", pa.array(s % B, type=pa.int64()))
-
     def distinct(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["src", "dst"])[["src", "dst"]]
+        return g.drop_duplicates(["src", "dst"])
 
-    return (
-        joined.map_batches(src_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(distinct, batch_format="pandas")
-    )
+    return cogroup(joined, "src", distinct)
 
 
 def pagerank(sf_dir: str, n_iters: int = 10, damping: float = DAMPING):
@@ -184,7 +153,7 @@ def pagerank_resumable(
     )
     rid = run_id or _uuid.uuid4().hex[:8]
     static, n_nodes = _pagerank_static(sf_dir)
-    B = N_KEY_BUCKETS
+    B = PAGERANK_BUCKETS
     state = None
     base = 1.0 / n_nodes
     uniform = True
@@ -246,24 +215,17 @@ def _pagerank_static(sf_dir: str):
     skeleton ∪ degree-annotated edges, coalesced to O(CPUs) blocks once —
     NOTES block-count rule) and the node count. Shared by ``pagerank`` and
     the checkpoint/resume variant."""
-    B = N_KEY_BUCKETS
+    B = PAGERANK_BUCKETS
     edges = _customer_supplier_edges(sf_dir)
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        s = t.column("src").to_numpy(zero_copy_only=False)
-        return t.append_column("_bucket", pa.array(s % B, type=pa.int64()))
-
     def degree(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_bucket"])
         deg = g.groupby("src")["dst"].transform("size").to_numpy(dtype=np.int64)
         return pd.DataFrame(
             {"src": g["src"].to_numpy(), "dst": g["dst"].to_numpy(), "deg": deg}
         )
 
     edges_b = (
-        edges.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(degree, batch_format="pandas")
+        cogroup(edges, "src", degree)
         .repartition(32)  # NOTES block-count rule: re-enters a shuffle every round
         .materialize()
     )
@@ -277,15 +239,13 @@ def _pagerank_static(sf_dir: str):
                 ]
             )
         ).astype(np.int64)
-        return pa.table({"node": pa.array(n), "_bucket": pa.array(n % B)})
+        return pa.table({"node": pa.array(n)})
 
     def dedup_nodes(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates("node")[["node", "_bucket"]]
+        return g.drop_duplicates("node")
 
     nodes = (
-        edges.map_batches(node_rows, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(dedup_nodes, batch_format="pandas")
+        cogroup(edges.map_batches(node_rows, batch_format="pyarrow", zero_copy_batch=True), "node", dedup_nodes)
         .repartition(32)  # same rule
         .materialize()
     )
@@ -299,7 +259,7 @@ def _pagerank_static(sf_dir: str):
         n = t.num_rows
         return pa.table(
             {
-                "_bucket": t.column("_bucket"),
+                "_bucket": pa.array(t.column("node").to_numpy(zero_copy_only=False) % B),
                 "kind": pa.array(np.full(n, 1, dtype=np.int8)),
                 "node": t.column("node"),
                 "c": pa.array(np.zeros(n)),
@@ -345,7 +305,7 @@ def _pagerank_round(static, state, base, uniform, damping, n_nodes):
     happens in sorted (node, c) order and the dangling sum sorts first."""
     import pyarrow.compute as pc
 
-    B = N_KEY_BUCKETS
+    B = PAGERANK_BUCKETS
 
     def make_pass(base_val, uniform):
         def step(g: pd.DataFrame) -> pd.DataFrame:
@@ -446,7 +406,6 @@ def _part_cooccurrence_edges(sf_dir: str):
     for lag d emit (part[i], part[i+d]) where order matches — vectorized,
     basket-bounded); global distinct is one pair-hash bucket pass. Edges
     leave as a single packed int64 key (a<<32 | b)."""
-    from .relational import map_key_buckets
 
     ds = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 
@@ -465,8 +424,8 @@ def _part_cooccurrence_edges(sf_dir: str):
     def distinct(g: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"ekey": np.unique(g["ekey"].to_numpy(dtype=np.int64))})
 
-    pairs = map_key_buckets(ds, "l_orderkey", pairs_in_bucket, sort_by=["l_orderkey", "l_partkey"])
-    return map_key_buckets(pairs, "ekey", distinct)
+    pairs = cogroup(ds, "l_orderkey", pairs_in_bucket, sort_by=["l_orderkey", "l_partkey"])
+    return cogroup(pairs, "ekey", distinct)
 
 
 def degree_distribution(sf_dir: str):
@@ -478,7 +437,6 @@ def degree_distribution(sf_dir: str):
     fan-out, not the node count."""
     from ray.data.aggregate import Sum
 
-    from .relational import map_key_buckets
 
     edges = _part_cooccurrence_edges(sf_dir)
 
@@ -496,7 +454,7 @@ def degree_distribution(sf_dir: str):
     parts = edges.map_batches(
         endpoint_partials, batch_format="pyarrow", zero_copy_batch=True
     )
-    hist = map_key_buckets(parts, "node", degree_hist_in_bucket)
+    hist = cogroup(parts, "node", degree_hist_in_bucket)
     return (
         hist.groupby("degree")
         .aggregate(Sum("n_nodes", alias_name="n_nodes"))
@@ -531,9 +489,6 @@ def triangle_count(sf_dir: str, broadcast_nodes: int = 100_000):
     per key bucket. Returns one row (n_nodes, n_edges, n_triangles)."""
     import ray
 
-    from .relational import N_KEY_BUCKETS, map_key_buckets
-
-    B = N_KEY_BUCKETS
     edges = _part_cooccurrence_edges(sf_dir).materialize()
 
     def endpoint_partials(t: pa.Table) -> pa.Table:
@@ -548,7 +503,7 @@ def triangle_count(sf_dir: str, broadcast_nodes: int = 100_000):
             {"node": s["node"].to_numpy(dtype=np.int64), "deg": s["deg"].to_numpy(dtype=np.int64)}
         )
 
-    deg = map_key_buckets(
+    deg = cogroup(
         edges.map_batches(endpoint_partials, batch_format="pyarrow", zero_copy_batch=True),
         "node",
         merge_deg,
@@ -580,63 +535,27 @@ def triangle_count(sf_dir: str, broadcast_nodes: int = 100_000):
     else:
         # scale path: co-group degree rows with edge ENDPOINT rows by node
         # hash (each edge emits one row per endpoint), then rejoin the two
-        # per-endpoint degrees by ekey hash and orient. Sides carry an
-        # explicit int8 flag + dummy-zero int columns (nullable-int64 union
-        # columns become float64 in the pandas group — same discipline as
-        # connected_components' gen_msgs).
-        def tag_deg(t: pa.Table) -> pa.Table:
-            n = t.column("node").to_numpy(zero_copy_only=False).astype(np.int64)
-            return pa.table(
-                {
-                    "_bucket": pa.array(n % B),
-                    "node": pa.array(n),
-                    "deg": t.column("deg"),
-                    "ekey": pa.array(np.zeros(len(n), dtype=np.int64)),
-                    "is_deg": pa.array(np.ones(len(n), dtype=np.int8)),
-                }
-            )
-
-        def tag_endpoints(t: pa.Table) -> pa.Table:
+        # per-endpoint degrees by ekey hash and orient.
+        def endpoints(t: pa.Table) -> pa.Table:
             ek = t.column("ekey").to_numpy(zero_copy_only=False)
-            node = np.concatenate([ek >> 32, ek & 0xFFFFFFFF])
-            ekey2 = np.concatenate([ek, ek])
             return pa.table(
-                {
-                    "_bucket": pa.array(node % B),
-                    "node": pa.array(node),
-                    "deg": pa.array(np.zeros(len(node), dtype=np.int64)),
-                    "ekey": pa.array(ekey2),
-                    "is_deg": pa.array(np.zeros(len(node), dtype=np.int8)),
-                }
+                {"node": pa.array(np.concatenate([ek >> 32, ek & 0xFFFFFFFF])), "ekey": pa.array(np.concatenate([ek, ek]))}
             )
 
-        def attach_deg(g: pd.DataFrame) -> pd.DataFrame:
-            is_d = g["is_deg"].to_numpy() == 1
-            dmap = pd.Series(
-                g["deg"].to_numpy(dtype=np.int64)[is_d],
-                index=g["node"].to_numpy(dtype=np.int64)[is_d],
-            )
-            node = g["node"].to_numpy(dtype=np.int64)[~is_d]
-            ekey = g["ekey"].to_numpy(dtype=np.int64)[~is_d]
-            dg = pd.Series(node).map(dmap).to_numpy(dtype=np.int64)
+        def attach_deg(d: pd.DataFrame, e: pd.DataFrame) -> pd.DataFrame:
+            dmap = pd.Series(d["deg"].to_numpy(dtype=np.int64), index=d["node"].to_numpy(dtype=np.int64))
+            node = e["node"].to_numpy(dtype=np.int64)
+            ekey = e["ekey"].to_numpy(dtype=np.int64)
             return pd.DataFrame(
                 {
                     "ekey": ekey,
-                    "deg": dg,
+                    "deg": pd.Series(node).map(dmap).to_numpy(dtype=np.int64),
                     "is_a": (node == (ekey >> 32)).astype(np.int8),
                 }
             )
 
-        attached = (
-            deg.map_batches(tag_deg, batch_format="pyarrow", zero_copy_batch=True)
-            .union(
-                edges.map_batches(
-                    tag_endpoints, batch_format="pyarrow", zero_copy_batch=True
-                )
-            )
-            .groupby("_bucket")
-            .map_groups(attach_deg, batch_format="pandas")
-        )
+        ends = edges.map_batches(endpoints, batch_format="pyarrow", zero_copy_batch=True)
+        attached = cogroup([deg, ends], "node", attach_deg)
 
         def orient_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
             ek = g["ekey"].to_numpy(dtype=np.int64)
@@ -654,7 +573,7 @@ def triangle_count(sf_dir: str, broadcast_nodes: int = 100_000):
                 {"src": np.where(a_first, a, b), "dst": np.where(a_first, b, a)}
             )
 
-        oriented = map_key_buckets(attached, "ekey", orient_in_bucket)
+        oriented = cogroup(attached, "ekey", orient_in_bucket)
 
     def wedges_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         s = g["src"].to_numpy(dtype=np.int64)
@@ -672,40 +591,22 @@ def triangle_count(sf_dir: str, broadcast_nodes: int = 100_000):
         u, c = np.unique(allw, return_counts=True)
         return pd.DataFrame({"ekey": u, "n": c.astype(np.int64)})
 
-    wedges = map_key_buckets(oriented, "src", wedges_in_bucket)
-
-    # closing test: co-group wedge partials with edge rows on ekey % B
-    def tag_wedge(t: pa.Table) -> pa.Table:
-        k = t.column("ekey").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {"_bucket": pa.array(k % B), "ekey": t.column("ekey"), "n": t.column("n")}
-        )
-
-    def tag_edge(t: pa.Table) -> pa.Table:
-        k = t.column("ekey").to_numpy(zero_copy_only=False)
-        return pa.table(
+    wedges = cogroup(oriented, "src", wedges_in_bucket).materialize()
+    if wedges.count() == 0:  # nothing to close (and no typed wedge block)
+        return pd.DataFrame(
             {
-                "_bucket": pa.array(k % B),
-                "ekey": t.column("ekey"),
-                "n": pa.array(np.zeros(len(k), dtype=np.int64)),
+                "n_nodes": np.array([n_nodes], dtype=np.int64),
+                "n_edges": np.array([n_edges], dtype=np.int64),
+                "n_triangles": np.array([0], dtype=np.int64),
             }
         )
 
-    both = wedges.map_batches(tag_wedge, batch_format="pyarrow", zero_copy_batch=True).union(
-        edges.map_batches(tag_edge, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    # closing test: co-group wedge partials with edge rows on ekey
+    def close_count(w: pd.DataFrame, e: pd.DataFrame) -> pd.DataFrame:
+        closed = np.isin(w["ekey"].to_numpy(dtype=np.int64), e["ekey"].to_numpy(dtype=np.int64))
+        return pd.DataFrame({"tri": [int(w["n"].to_numpy()[closed].sum())]})
 
-    def close_count(g: pd.DataFrame) -> pd.DataFrame:
-        is_edge = g["n"].to_numpy() == 0
-        ekeys = g["ekey"].to_numpy(dtype=np.int64)
-        closed = np.isin(ekeys[~is_edge], ekeys[is_edge])
-        return pd.DataFrame({"tri": [int(g["n"].to_numpy()[~is_edge][closed].sum())]})
-
-    tri = int(
-        both.groupby("_bucket")
-        .map_groups(close_count, batch_format="pandas")
-        .sum("tri")
-    )
+    tri = int(cogroup([wedges, edges], "ekey", close_count).sum("tri"))
     return pd.DataFrame(
         {
             "n_nodes": np.array([n_nodes], dtype=np.int64),
@@ -721,45 +622,35 @@ def bfs_hops(sf_dir: str, seed: int = 1, max_hops: int = 4):
     oracle (DuckDB recursive CTE), so the whole iterative machinery is
     hash-gated, not just unit-pinned. Bounded-round min-hop label
     relaxation (Bellman-Ford over unit weights) in the PageRank FOLDED
-    shape: ONE bucket co-group per round whose input unions {edges
-    (src-bucket), labels (node-bucket), last round's hop candidates
-    (node-bucket)} — the bucket fn merges candidates into labels AND emits
-    the next round's candidates, so each round costs one shuffle barrier,
-    not three (the first, 3-barrier version measured 33 s at sf0.1; this
-    one ~a third of that). map_groups output is ≤B blocks, so no
-    repartition pass is needed either.
+    shape: ONE ``cogroup`` per round on the node key of {edges, state},
+    where the state holds labels (dst == −1) and last round's hop
+    candidates (dst == −2) — the bucket fn merges candidates into labels
+    AND emits the next round's candidates, so each round costs one
+    shuffle barrier, not three (the first, 3-barrier version measured 33 s
+    at sf0.1; this one ~a third of that).
 
-    Row kinds share one schema: dst ≥ 0 edge, dst == −1 label,
-    dst == −2 candidate. Emission is FRONTIER-SPARSE: only nodes whose
+    Emission is FRONTIER-SPARSE: only nodes whose
     label improved this round emit next-round candidates (in unit-weight
     BFS a label improves exactly once), so per-round candidate volume is
     the frontier size, not the reached-set size — the property that keeps
     later rounds cheap on large graphs. At this test scale the fixed
     per-round shuffle barrier dominates either way (NOTES)."""
     INF = max_hops + 1
-    B = N_KEY_BUCKETS
     edges = _customer_supplier_edges(sf_dir, min_qty=48)
 
     def undirect(t: pa.Table) -> pa.Table:
         s = t.column("src").to_numpy(zero_copy_only=False)
         d = t.column("dst").to_numpy(zero_copy_only=False)
-        src = np.concatenate([s, d])
-        dst = np.concatenate([d, s])
-        return pa.table(
-            {
-                "_bucket": pa.array(src % B),
-                "src": pa.array(src),
-                "dst": pa.array(dst),
-                "hops": pa.array(np.full(len(src), -1, dtype=np.int64)),
-            }
-        )
+        return pa.table({"src": pa.array(np.concatenate([s, d])), "dst": pa.array(np.concatenate([d, s]))})
 
     # NOTES iterative-coalescing rule: blocks that re-enter a shuffle every
     # round stay at O(CPUs); without this the union's block count grows by
-    # +128/round and round time grows 2.9 s → 29.6 s (measured)
+    # +128/round and round time grows 2.9 s → 29.6 s (measured). 8, not 32:
+    # a two-sided cogroup ships one row per (block, bucket), so each block
+    # costs a fixed share of every round.
     edges_b = (
         edges.map_batches(undirect, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(32)
+        .repartition(8)
         .materialize()
     )
 
@@ -767,39 +658,28 @@ def bfs_hops(sf_dir: str, seed: int = 1, max_hops: int = 4):
         s = t.column("src").to_numpy(zero_copy_only=False)
         nodes = np.unique(s)  # undirected edge list → src covers every node
         hops = np.where(nodes == seed, 0, INF).astype(np.int64)
-        return pa.table(
-            {
-                "_bucket": pa.array(nodes % B),
-                "src": pa.array(nodes),
-                "dst": pa.array(np.full(len(nodes), -1, dtype=np.int64)),
-                "hops": pa.array(hops),
-            }
-        )
+        return pa.table({"src": pa.array(nodes), "hops": pa.array(hops)})
 
     def dedup_labels(g: pd.DataFrame) -> pa.Table:
         lab = g.groupby("src", sort=False)["hops"].min().reset_index()
-        src = lab["src"].to_numpy(dtype=np.int64)
         return pa.table(
             {
-                "_bucket": pa.array(src % B),
-                "src": pa.array(src),
+                "src": pa.array(lab["src"].to_numpy(dtype=np.int64)),
                 "dst": pa.array(np.full(len(lab), -1, dtype=np.int64)),
                 "hops": pa.array(lab["hops"].to_numpy(dtype=np.int64)),
             }
         )
 
     labels = (
-        edges_b.map_batches(init_labels, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(dedup_labels, batch_format="pandas")
-        .repartition(32)
+        cogroup(edges_b.map_batches(init_labels, batch_format="pyarrow", zero_copy_batch=True), "src", dedup_labels)
+        .repartition(8)
         .materialize()
     )
 
     def make_step(last: bool):
-        def step(g: pd.DataFrame) -> pa.Table:
-            lab = g[g["dst"] == -1][["src", "hops"]]
-            cand = g[g["dst"] == -2][["src", "hops"]]
+        def step(e: pd.DataFrame, st: pd.DataFrame) -> pa.Table:
+            lab = st[st["dst"] == -1][["src", "hops"]]
+            cand = st[st["dst"] == -2][["src", "hops"]]
             if len(cand):
                 c = cand.groupby("src", sort=False)["hops"].min()
                 prev = lab.set_index("src")["hops"]
@@ -818,13 +698,11 @@ def bfs_hops(sf_dir: str, seed: int = 1, max_hops: int = 4):
             src = lab["src"].to_numpy(dtype=np.int64)
             hops = lab["hops"].to_numpy(dtype=np.int64)
             out = {
-                "_bucket": src % B,
                 "src": src,
                 "dst": np.full(len(lab), -1, dtype=np.int64),
                 "hops": hops,
             }
             if not last:
-                e = g[g["dst"] >= 0][["src", "dst"]]
                 reach = frontier[frontier["hops"] <= max_hops]
                 m = e.merge(reach, on="src")
                 if len(m):
@@ -832,7 +710,6 @@ def bfs_hops(sf_dir: str, seed: int = 1, max_hops: int = 4):
                     nxt = m.groupby("dst", sort=False)["c"].min().reset_index()
                     d = nxt["dst"].to_numpy(dtype=np.int64)
                     out = {
-                        "_bucket": np.concatenate([out["_bucket"], d % B]),
                         "src": np.concatenate([out["src"], d]),
                         "dst": np.concatenate(
                             [out["dst"], np.full(len(nxt), -2, dtype=np.int64)]
@@ -847,13 +724,7 @@ def bfs_hops(sf_dir: str, seed: int = 1, max_hops: int = 4):
 
     state = labels
     for r in range(max_hops + 1):
-        state = (
-            edges_b.union(state)
-            .groupby("_bucket")
-            .map_groups(make_step(r == max_hops), batch_format="pandas")
-            .repartition(32)
-            .materialize()
-        )
+        state = cogroup([edges_b, state], "src", make_step(r == max_hops)).repartition(8).materialize()
 
     def finish(t: pa.Table) -> pa.Table:
         h = t.column("hops").to_numpy(zero_copy_only=False)
@@ -893,7 +764,6 @@ def kcore_nodes(sf_dir: str, k: int = 3, max_rounds: int = 50, frontier_broadcas
     import pyarrow.compute as pc
     import ray
 
-    from .relational import map_key_buckets
 
     edges = (
         _part_cooccurrence_edges(sf_dir)
@@ -916,57 +786,25 @@ def kcore_nodes(sf_dir: str, k: int = 3, max_rounds: int = 50, frontier_broadcas
             }
         )
 
-    B = 64
-
     def _anti_join_endpoint(eds, drop_ds, shift: int):
         """Drop edges whose endpoint at ``shift`` is in drop_ds: node-hash
-        bucket co-group of edge rows (tagged by that endpoint) with drop
-        rows. int8 flag + dummy-zero columns (nullable-int64 union columns
-        become float64 in the pandas group)."""
+        ``cogroup`` of edge rows (keyed by that endpoint) with drop rows."""
 
-        def tag_edge(t: pa.Table) -> pa.Table:
+        def endpoint(t: pa.Table) -> pa.Table:
             ek = t.column("ekey").to_numpy(zero_copy_only=False)
-            node = (ek >> shift) & 0xFFFFFFFF
-            return pa.table(
-                {
-                    "_bucket": pa.array(node % B),
-                    "node": pa.array(node),
-                    "ekey": pa.array(ek),
-                    "is_drop": pa.array(np.zeros(len(ek), dtype=np.int8)),
-                }
-            )
+            return pa.table({"node": pa.array((ek >> shift) & 0xFFFFFFFF), "ekey": pa.array(ek)})
 
-        def tag_drop(t: pa.Table) -> pa.Table:
-            n = t.column("node").to_numpy(zero_copy_only=False).astype(np.int64)
-            return pa.table(
-                {
-                    "_bucket": pa.array(n % B),
-                    "node": pa.array(n),
-                    "ekey": pa.array(np.zeros(len(n), dtype=np.int64)),
-                    "is_drop": pa.array(np.ones(len(n), dtype=np.int8)),
-                }
-            )
+        def filt(e: pd.DataFrame, d: pd.DataFrame) -> pd.DataFrame:
+            keep = ~np.isin(e["node"].to_numpy(dtype=np.int64), d["node"].to_numpy(dtype=np.int64))
+            return pd.DataFrame({"ekey": e["ekey"].to_numpy(dtype=np.int64)[keep]})
 
-        def filt(g: pd.DataFrame) -> pd.DataFrame:
-            is_d = g["is_drop"].to_numpy() == 1
-            bad = g["node"].to_numpy(dtype=np.int64)[is_d]
-            node = g["node"].to_numpy(dtype=np.int64)[~is_d]
-            ekey = g["ekey"].to_numpy(dtype=np.int64)[~is_d]
-            return pd.DataFrame({"ekey": ekey[~np.isin(node, bad)]})
-
-        return (
-            eds.map_batches(tag_edge, batch_format="pyarrow", zero_copy_batch=True)
-            .union(
-                drop_ds.map_batches(
-                    tag_drop, batch_format="pyarrow", zero_copy_batch=True
-                )
-            )
-            .groupby("_bucket")
-            .map_groups(filt, batch_format="pandas")
-        )
+        if eds.count() == 0:  # nothing to drop from (and no typed edge block)
+            return eds
+        ends = eds.map_batches(endpoint, batch_format="pyarrow", zero_copy_batch=True)
+        return cogroup([ends, drop_ds.select_columns(["node"])], "node", filt).materialize()
 
     for _ in range(max_rounds):
-        degs = map_key_buckets(
+        degs = cogroup(
             edges.map_batches(
                 endpoint_partials, batch_format="pyarrow", zero_copy_batch=True
             ),

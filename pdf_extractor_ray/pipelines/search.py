@@ -10,8 +10,8 @@ batches, so ``group_by(doc, token)`` inside ``map_batches`` is a full
 pre-aggregation — the corpus's token INSTANCES never cross a shuffle, only
 the much smaller distinct-pair table does), then shuffled at most twice:
 once by token-hash bucket (df / postings / scoring) and once by doc-hash
-bucket (per-doc top-n). Bucket counts are fixed (default 64), never
-key-cardinality — the NOTES.md ~1 ms/group trap.
+bucket (per-doc top-n), each a ``buckets.cogroup``. Bucket counts follow
+input size, never key-cardinality — the NOTES.md ~1 ms/group trap.
 
 Oracle parity: tokenization is ``pc.split_pattern(' ')`` ↔ DuckDB
 ``string_split(text, ' ')``; scores use float64 with ``np.round(·, 6)``
@@ -26,9 +26,9 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.sketches import fnv1a64_batch
 from ..functions.tokens import explode_tokens as explode_tokens_batch
 from ..functions.tokens import split_ws
+from .buckets import cogroup
 
 
 def _read(sf_dir: str, table: str, columns=None):
@@ -44,23 +44,13 @@ def _n_docs(sf_dir: str) -> int:
     return pads.dataset(f"{sf_dir}/documents.parquet").count_rows()
 
 
-def _token_bucket(tokens: pd.Series, n_buckets: int) -> np.ndarray:
-    """Stable token→bucket ids: fnv1a64 over the batch's UNIQUE tokens only
-    (no PYTHONHASHSEED dependence — hashing.py)."""
-    uniq, inv = np.unique(tokens.to_numpy(), return_inverse=True)
-    hh = fnv1a64_batch([u.encode("utf-8") for u in uniq])
-    return (hh % np.uint64(n_buckets)).astype(np.int64)[inv]
-
-
-def _tf_batch(t: pa.Table, n_buckets: int) -> pa.Table:
+def _tf_batch(t: pa.Table) -> pa.Table:
     """Complete per-(doc, token) term frequencies for this batch's docs —
-    Arrow-native group_by (C++ hash aggregate), plus the token-hash bucket."""
+    Arrow-native group_by (C++ hash aggregate)."""
     ex = explode_tokens_batch(t, "doc_id", "text")
     g = ex.group_by(["doc_id", "token"]).aggregate([([], "count_all")])
-    tok = g.column("token").to_pandas()
     return pa.table(
         {
-            "bucket": pa.array(_token_bucket(tok, n_buckets)),
             "doc_id": g.column("doc_id"),
             "token": g.column("token"),
             "tf": pc.cast(g.column("count_all"), pa.int64()),
@@ -68,7 +58,7 @@ def _tf_batch(t: pa.Table, n_buckets: int) -> pa.Table:
     )
 
 
-def tfidf_top_terms(sf_dir: str, top_n: int = 5, n_buckets: int = 64):
+def tfidf_top_terms(sf_dir: str, top_n: int = 5):
     """Top-n TF-IDF terms per document: tfidf = tf × ln(N / df), rounded to
     6 dp BEFORE ranking, ties on token ASC.
 
@@ -79,9 +69,7 @@ def tfidf_top_terms(sf_dir: str, top_n: int = 5, n_buckets: int = 64):
     of the distinct-pair table total (token buckets → doc buckets)."""
     n = float(_n_docs(sf_dir))
     tf = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        lambda t: _tf_batch(t, n_buckets),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
+        _tf_batch, batch_format="pyarrow", zero_copy_batch=True
     )
 
     def score(g: pd.DataFrame) -> pd.DataFrame:
@@ -91,7 +79,6 @@ def tfidf_top_terms(sf_dir: str, top_n: int = 5, n_buckets: int = 64):
         )
         return pd.DataFrame(
             {
-                "dbucket": g["doc_id"].to_numpy() % n_buckets,
                 "doc_id": g["doc_id"].to_numpy(),
                 "token": g["token"].to_numpy(),
                 "tfidf": tfidf,
@@ -105,12 +92,7 @@ def tfidf_top_terms(sf_dir: str, top_n: int = 5, n_buckets: int = 64):
         out = g.groupby("doc_id", sort=False).head(top_n)
         return out[["doc_id", "token", "tfidf"]]
 
-    return (
-        tf.groupby("bucket")
-        .map_groups(score, batch_format="pandas")
-        .groupby("dbucket")
-        .map_groups(topn, batch_format="pandas")
-    )
+    return cogroup(cogroup(tf, "token", score), "doc_id", topn)
 
 
 def bm25_search(
@@ -119,7 +101,6 @@ def bm25_search(
     k: int = 10,
     k1: float = 1.2,
     b: float = 0.75,
-    n_buckets: int = 64,
 ):
     """BM25 ranked retrieval for a fixed multi-term query (Lucene idf:
     ln((N − df + ½)/(df + ½) + 1)); returns the top-k (doc_id, score).
@@ -225,7 +206,7 @@ def bm25_search(
     )
 
 
-def inverted_index(sf_dir: str, min_df: int = 2, n_buckets: int = 64):
+def inverted_index(sf_dir: str, min_df: int = 2):
     """Inverted index build: (token, df, postings) where postings is the
     comma-joined ascending doc_id list — the string form so the DuckDB
     oracle (``string_agg(... ORDER BY doc_id)``) hash-matches a flat
@@ -237,9 +218,7 @@ def inverted_index(sf_dir: str, min_df: int = 2, n_buckets: int = 64):
     at corpus scale pair ``min_df`` with a max-df cut or store block-split
     postings; the bucket layout already isolates the heavy tokens."""
     tf = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        lambda t: _tf_batch(t, n_buckets),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
+        _tf_batch, batch_format="pyarrow", zero_copy_batch=True
     )
 
     def build(g: pd.DataFrame) -> pd.DataFrame:
@@ -256,10 +235,10 @@ def inverted_index(sf_dir: str, min_df: int = 2, n_buckets: int = 64):
             }
         )
 
-    return tf.groupby("bucket").map_groups(build, batch_format="pandas")
+    return cogroup(tf, "token", build)
 
 
-def dup_ngram_spans(sf_dir: str, n: int = 4, n_buckets: int = 64):
+def dup_ngram_spans(sf_dir: str, n: int = 4):
     """Cross-document duplicate n-token spans — the fixed-length primitive of
     exact-substring dedup (Lee et al. 2022 "Deduplicating Training Data
     Makes Language Models Better" builds the suffix array for ALL lengths;
@@ -289,7 +268,6 @@ def dup_ngram_spans(sf_dir: str, n: int = 4, n_buckets: int = 64):
         if len(flat) < n:
             return pa.table(
                 {
-                    "bucket": pa.array([], pa.int64()),
                     "doc_id": pa.array([], pa.int64()),
                     "span": pa.array([], pa.string()),
                 }
@@ -313,7 +291,6 @@ def dup_ngram_spans(sf_dir: str, n: int = 4, n_buckets: int = 64):
         ).drop_duplicates()  # batch-complete per-(doc, span) distinct
         return pa.table(
             {
-                "bucket": pa.array(_token_bucket(d["span"], n_buckets)),
                 "doc_id": pa.array(d["doc_id"].to_numpy(dtype=np.int64)),
                 "span": pa.array(d["span"].to_numpy(), pa.string()),
             }
@@ -329,14 +306,10 @@ def dup_ngram_spans(sf_dir: str, n: int = 4, n_buckets: int = 64):
             }
         )
 
-    return (
-        docs.map_batches(spans, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(count_docs, batch_format="pandas")
-    )
+    return cogroup(docs.map_batches(spans, batch_format="pyarrow", zero_copy_batch=True), "span", count_docs)
 
 
-def dup_span_coverage(sf_dir: str, n: int = 4, n_buckets: int = 64):
+def dup_span_coverage(sf_dir: str, n: int = 4):
     """ExactSubstr-style duplicated-SPAN coverage per document (the audit
     behind Lee et al. 2022's substring removal): every position whose
     n-token span also appears in another document is a duplicated hit;
@@ -364,7 +337,6 @@ def dup_span_coverage(sf_dir: str, n: int = 4, n_buckets: int = 64):
         ids = t.column("doc_id").to_numpy(zero_copy_only=False)
         empty = pa.table(
             {
-                "bucket": pa.array([], pa.int64()),
                 "doc_id": pa.array([], pa.int64()),
                 "pos": pa.array([], pa.int64()),
                 "span": pa.array([], pa.string()),
@@ -392,7 +364,6 @@ def dup_span_coverage(sf_dir: str, n: int = 4, n_buckets: int = 64):
         )
         return pa.table(
             {
-                "bucket": pa.array(_token_bucket(d["span"], n_buckets)),
                 "doc_id": pa.array(d["doc_id"].to_numpy(dtype=np.int64)),
                 "pos": pa.array(d["pos"].to_numpy(dtype=np.int64)),
                 "span": pa.array(d["span"].to_numpy(), pa.string()),
@@ -404,7 +375,6 @@ def dup_span_coverage(sf_dir: str, n: int = 4, n_buckets: int = 64):
         keep = g[nd > 1]
         return pd.DataFrame(
             {
-                "_b2": keep["doc_id"].to_numpy(dtype=np.int64) % n_buckets,
                 "doc_id": keep["doc_id"].to_numpy(dtype=np.int64),
                 "pos": keep["pos"].to_numpy(dtype=np.int64),
             }
@@ -440,10 +410,5 @@ def dup_span_coverage(sf_dir: str, n: int = 4, n_buckets: int = 64):
             }
         )
 
-    return (
-        docs.map_batches(incidences, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(qualify, batch_format="pandas")
-        .groupby("_b2")
-        .map_groups(islands, batch_format="pandas")
-    )
+    spans = docs.map_batches(incidences, batch_format="pyarrow", zero_copy_batch=True)
+    return cogroup(cogroup(spans, "span", qualify), "doc_id", islands)

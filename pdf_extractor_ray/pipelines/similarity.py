@@ -21,6 +21,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.sketches import _splitmix64
+from .buckets import cogroup
 
 
 def _read_embeddings(sf_dir: str):
@@ -272,23 +273,19 @@ def embedding_near_dup(
         return t.filter(pa.compute.is_in(t.column("bucket"), value_set=ray.get(hot_ref)))
 
     def gen_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        ids = np.sort(g["vec_id"].unique())
-        if len(ids) < 2:
-            return pd.DataFrame(
-                {"vec_a": pd.Series([], dtype=np.int64), "vec_b": pd.Series([], dtype=np.int64)}
-            )
-        ia, ib = np.triu_indices(len(ids), k=1)
-        return pd.DataFrame({"vec_a": ids[ia], "vec_b": ids[ib]})
+        # every pair of distinct ids within each LSH bucket of this hash bucket
+        va, vb = [], []
+        for _, v in g.groupby("bucket", sort=False)["vec_id"]:
+            ids = np.unique(v.to_numpy(dtype=np.int64))
+            ia, ib = np.triu_indices(len(ids), k=1)
+            va.append(ids[ia])
+            vb.append(ids[ib])
+        return pd.DataFrame({"vec_a": np.concatenate(va), "vec_b": np.concatenate(vb)})
 
     # band-duplicated candidate pairs; dedup happens AFTER the exact verify,
     # where rows are few (deduping candidates costs ~0.4 ms per group in
     # Ray's aggregate — 32 s at 80k candidate groups, measured)
-    pairs = (
-        bands.map_batches(in_hot, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(gen_pairs, batch_format="pandas")
-        .materialize()
-    )
+    pairs = cogroup(bands.map_batches(in_hot, batch_format="pyarrow"), "bucket", gen_pairs).materialize()
 
     # verify: candidate vectors via the broadcast-id-set semi-join — the
     # full embedding table never leaves the workers
@@ -613,11 +610,10 @@ def cluster_balanced_sample(
     distribution yet bit-reproducible, like ``sample_orders_per_customer``.
 
     Scale shape: the per-cluster top-k runs inside cluster%B hash buckets
-    (``map_key_buckets`` — B groups through the shuffle even at 50k
+    (``cogroup`` — B groups through the shuffle even at 50k
     clusters), within-bucket selection one vectorized sort +
     groupby(cluster).head. Returns (vec_id, cluster)."""
     from ..functions.sketches import splitmix64_vec
-    from .relational import map_key_buckets
 
     assigns = kmeans_clusters(sf_dir, k=k, n_iters=n_iters)
 
@@ -641,7 +637,7 @@ def cluster_balanced_sample(
         )
 
     withpri = assigns.map_batches(add_pri, batch_format="pyarrow", zero_copy_batch=True)
-    return map_key_buckets(withpri, "cluster", pick, sort_by=["cluster", "_pri", "vec_id"])
+    return cogroup(withpri, "cluster", pick, sort_by=["cluster", "_pri", "vec_id"])
 
 
 def pca_project(sf_dir: str, d_out: int = 8):

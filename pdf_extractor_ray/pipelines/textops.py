@@ -11,7 +11,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import corpus
-from ..functions.hashing import hex_prefix_int64, rolling_fingerprint
+from ..functions.hashing import rolling_fingerprint
+from .buckets import cogroup
 from ..functions.langid import LangId
 from ..stages.multimodal import MediaFeatures, media_table_from_documents
 from .extract import extract_pages, quality_by_host
@@ -110,9 +111,9 @@ def dedup_replicated_corpus(sf_dir: str):
     ext = extract_pages(pages)
 
     def hash_partial(t: pa.Table) -> pa.Table:
-        # per-batch combiner: (sha, count) partials + sha-prefix bucket —
+        # per-batch combiner: (sha, count) partials co-grouped on the sha —
         # the shuffle moves one row per distinct sha per block, and the
-        # grouped merge below sees 64 groups, not one per unique document
+        # grouped merge below sees one group per bucket, not per document
         # (r3: the per-sha native Count was the ~0.4 ms/group aggregate tax)
         ok = t.filter(pc.equal(t.column("status"), "ok"))
         shas = [sha256_hex(v) for v in ok.column("extracted_text").to_pylist()]
@@ -122,8 +123,7 @@ def dedup_replicated_corpus(sf_dir: str):
             .aggregate([("text_sha", "count")])
             .rename_columns(["text_sha", "n"])
         )
-        bucket = hex_prefix_int64(p.column("text_sha")) % 64
-        return p.append_column("_bucket", pa.array(bucket))
+        return p
 
     def bucket_stats(g: pd.DataFrame) -> pd.DataFrame:
         s = g.groupby("text_sha", sort=False)["n"].sum()
@@ -136,12 +136,11 @@ def dedup_replicated_corpus(sf_dir: str):
         )
 
     # shas partition disjointly by bucket, so the per-bucket stats add up
-    # exactly; the chained global aggregate reduces ≤64 rows to three
-    # scalars — still ONE streaming execution end-to-end (VERDICT r1 #3)
+    # exactly; the chained global aggregate reduces one row per bucket to
+    # three scalars — still ONE streaming execution end-to-end (VERDICT r1 #3)
+    partials = ext.map_batches(hash_partial, batch_format="pyarrow", zero_copy_batch=True)
     agg = (
-        ext.map_batches(hash_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(bucket_stats, batch_format="pandas")
+        cogroup(partials, "text_sha", bucket_stats)
         .aggregate(
             Sum(on="n_rows", alias_name="n_rows"),
             Sum(on="n_groups", alias_name="n_groups"),
@@ -192,17 +191,16 @@ def cc_pipeline_audit(sf_dir: str):
         # impossible as a real sha). Lets the unique-count groupby and the
         # stage counters ride ONE streaming execution (VERDICT r1 #3).
         n_kept = kept.num_rows
-        # r3: distinct shas per batch + sha-prefix bucket — the previous
+        # r3: distinct shas per batch co-grouped on the sha — the previous
         # global groupby(text_sha) had one Ray group per distinct text (the
         # ~0.4 ms/group aggregate tax on a corpus-sized key space); now the
         # shuffle carries one row per distinct sha per batch and the merge
-        # sees 64 groups. Counter sentinels ("") ride bucket 0.
+        # sees one group per bucket. Counter sentinels ("") ride the
+        # empty sha's bucket.
         shas = sorted({sha256_hex(v) for v in kept.column("extracted_text").to_pylist()})
-        bucket = hex_prefix_int64(pa.array(shas, type=pa.string())) % 64
         return pa.table(
             {
                 "text_sha": pa.array(shas + [""], pa.string()),
-                "_bucket": pa.array(np.append(bucket, 0)),
                 "n_in": pa.array([0] * len(shas) + [t.num_rows], pa.int64()),
                 "n_ok": pa.array([0] * len(shas) + [ok.num_rows], pa.int64()),
                 "n_kept": pa.array([0] * len(shas) + [n_kept], pa.int64()),
@@ -223,9 +221,7 @@ def cc_pipeline_audit(sf_dir: str):
         )
 
     agg = (
-        ext.map_batches(quality_keep, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(bucket_partial, batch_format="pandas")
+        cogroup(ext.map_batches(quality_keep, batch_format="pyarrow"), "text_sha", bucket_partial)
         .sum(["n_pages", "n_ok", "n_quality_kept", "n_unique"])
     )
     return pd.DataFrame(
@@ -248,48 +244,21 @@ SURVIVOR_BROADCAST_THRESHOLD = 1_000_000
 AUDIT_DRIVER_PAIRS = 100_000
 
 
-def _rep_rows_cogrouped(real_ds, reps_ds, n_buckets: int = 64):
+def _rep_rows_cogrouped(real_ds, reps_ds):
     """Distributed semi-join: keep the kept-row whose (doc_id) appears in the
     representative set, co-grouped by doc_id hash bucket — both sides of one
     key land in one group, nothing touches the driver. Returns
     (doc_id, text)."""
     import pandas as pd
 
-    def tag_left(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bucket": pa.array(ids % n_buckets, pa.int64()),
-                "doc_id": pa.array(ids, pa.int64()),
-                "text": t.column("text"),
-                "is_rep": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-            }
-        )
-
-    def tag_rep(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bucket": pa.array(ids % n_buckets, pa.int64()),
-                "doc_id": pa.array(ids, pa.int64()),
-                "text": pa.nulls(t.num_rows, pa.string()),
-                "is_rep": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-            }
-        )
-
-    def join(g: pd.DataFrame) -> pd.DataFrame:
-        rep_ids = set(g.loc[g["is_rep"] == 1, "doc_id"])
-        keep = g[(g["is_rep"] == 0) & g["doc_id"].isin(rep_ids)]
+    def join(real: pd.DataFrame, reps: pd.DataFrame) -> pd.DataFrame:
+        keep = real[real["doc_id"].isin(reps["doc_id"])]
         return pd.DataFrame(
             {"doc_id": keep["doc_id"].to_numpy(dtype=np.int64), "text": keep["text"].to_numpy()}
         )
 
-    return (
-        real_ds.map_batches(tag_left, batch_format="pyarrow")
-        .union(reps_ds.map_batches(tag_rep, batch_format="pyarrow"))
-        .groupby("bucket")
-        .map_groups(join, batch_format="pandas")
-    )
+    sides = [real_ds.select_columns(["doc_id", "text"]), reps_ds.select_columns(["doc_id"])]
+    return cogroup(sides, "doc_id", join)
 
 
 def corpus_near_dup_pipeline(sf_dir: str):
@@ -379,29 +348,22 @@ def corpus_near_dup_pipeline(sf_dir: str):
         batch_format="pyarrow",
     )
     def rep_partial(t: pa.Table) -> pa.Table:
-        # per-batch combiner (min doc per sha) + sha-prefix bucket: the
+        # per-batch combiner (min doc per sha), co-grouped on the sha: the
         # native groupby(text_sha).aggregate(Min) had one Ray group per
         # unique document (r3, same shape as relational.dedup_exact)
-        p = (
+        return (
             t.select(["text_sha", "doc_id"])
             .group_by("text_sha")
             .aggregate([("doc_id", "min")])
             .rename_columns(["text_sha", "doc_id"])
         )
-        bucket = hex_prefix_int64(p.column("text_sha")) % 64
-        return p.append_column("_bucket", pa.array(bucket))
 
     def rep_merge(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby("text_sha", sort=False, as_index=False)["doc_id"].min()[
             ["text_sha", "doc_id"]
         ]
 
-    reps = (
-        real.map_batches(rep_partial, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(rep_merge, batch_format="pandas")
-        .materialize()
-    )
+    reps = cogroup(real.map_batches(rep_partial, batch_format="pyarrow"), "text_sha", rep_merge).materialize()
     n_exact_unique = reps.count()
     if n_exact_unique <= SURVIVOR_BROADCAST_THRESHOLD:
         rep_ids = reps.map_batches(
@@ -734,7 +696,7 @@ def word_chunk_arrays(col, words_per_chunk: int = PARA_WORDS):
     return doc, ci, para
 
 
-def paragraph_dedup(sf_dir: str, n_buckets: int = 64):
+def paragraph_dedup(sf_dir: str):
     """RefinedWeb-style corpus-level PARAGRAPH dedup: split every document
     into paragraphs, keep only the globally FIRST occurrence of each
     paragraph (ordered by (doc_id, position)), and reassemble each
@@ -748,8 +710,6 @@ def paragraph_dedup(sf_dir: str, n_buckets: int = 64):
     bucket) → ONE doc-hash bucket co-group for ordered reassembly. Only
     surviving paragraphs cross the second shuffle. The per-doc split/join
     is inherent string work (same class as extraction's inner loop)."""
-    from ..functions.hashing import fnv1a64_arrow
-
     docs = _read_docs(sf_dir, ["doc_id", "text"])
 
     def explode(t: pa.Table) -> pa.Table:
@@ -760,10 +720,8 @@ def paragraph_dedup(sf_dir: str, n_buckets: int = 64):
         para = pc.if_else(
             pa.array((rid % 5 == 0) & (ci == 0)), pa.scalar(BOILERPLATE_PARA), para
         )
-        b = (fnv1a64_arrow(para) % np.uint64(n_buckets)).astype(np.int64)
         return pa.table(
             {
-                "_bucket": pa.array(b),
                 "doc_id": pa.array(rid),
                 "ci": pa.array(ci),
                 "para": para,
@@ -774,28 +732,21 @@ def paragraph_dedup(sf_dir: str, n_buckets: int = 64):
 
     def survivors(g: "pd.DataFrame") -> "pd.DataFrame":
         g = g.sort_values(["para", "doc_id", "ci"], kind="mergesort")
-        keep = g.drop_duplicates("para")[["doc_id", "ci", "para"]]
-        keep["_b2"] = keep["doc_id"].to_numpy() % n_buckets
-        return keep
+        return g.drop_duplicates("para")[["doc_id", "ci", "para"]]
 
     def reassemble(g: "pd.DataFrame") -> "pd.DataFrame":
         g = g.sort_values(["doc_id", "ci"], kind="mergesort")
         out = g.groupby("doc_id", sort=False)["para"].agg(" ".join).reset_index()
         return out.rename(columns={"para": "text_dedup"})
 
-    return (
-        docs.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(survivors, batch_format="pandas")
-        .groupby("_b2")
-        .map_groups(reassemble, batch_format="pandas")
-    )
+    paras = docs.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
+    return cogroup(cogroup(paras, "para", survivors), "doc_id", reassemble)
 
 
 RARE_PROMO_LINE = "limited time offer act now"
 
 
-def boilerplate_line_removal(sf_dir: str, min_docs: int = 5, n_buckets: int = 64):
+def boilerplate_line_removal(sf_dir: str, min_docs: int = 5):
     """CCNet-style HOST-scoped boilerplate LINE removal: a line (20-word
     chunk) appearing in >= ``min_docs`` DISTINCT documents of the SAME
     host is site-template text (copyright footers, nav) — remove EVERY
@@ -817,8 +768,6 @@ def boilerplate_line_removal(sf_dir: str, min_docs: int = 5, n_buckets: int = 64
     → ONE doc-hash bucket co-group for ordered reassembly. Survivors
     only cross the second shuffle; the boilerplate set is never
     collected or broadcast."""
-    from ..functions.hashing import fnv1a64_arrow
-
     docs = _read_docs(sf_dir, ["doc_id", "text"])
 
     def explode(t: pa.Table) -> pa.Table:
@@ -836,12 +785,8 @@ def boilerplate_line_removal(sf_dir: str, min_docs: int = 5, n_buckets: int = 64
         para = pc.if_else(
             pa.array((rid % 100 == 7) & (ci == 1)), pa.scalar(RARE_PROMO_LINE), para
         )
-        # bucket by line hash alone: every occurrence of a given para (and
-        # hence of every (host, para) pair) lands in one bucket
-        b = (fnv1a64_arrow(para) % np.uint64(n_buckets)).astype(np.int64)
         return pa.table(
             {
-                "_bucket": pa.array(b),
                 "doc_id": pa.array(rid),
                 "ci": pa.array(ci),
                 "host": host_arr,
@@ -853,22 +798,17 @@ def boilerplate_line_removal(sf_dir: str, min_docs: int = 5, n_buckets: int = 64
 
     def drop_frequent(g: "pd.DataFrame") -> "pd.DataFrame":
         nd = g.groupby(["host", "para"], sort=False)["doc_id"].transform("nunique")
-        keep = g.loc[nd.to_numpy() < min_docs, ["doc_id", "ci", "para"]].copy()
-        keep["_b2"] = keep["doc_id"].to_numpy() % n_buckets
-        return keep
+        return g.loc[nd.to_numpy() < min_docs, ["doc_id", "ci", "para"]]
 
     def reassemble(g: "pd.DataFrame") -> "pd.DataFrame":
         g = g.sort_values(["doc_id", "ci"], kind="mergesort")
         out = g.groupby("doc_id", sort=False)["para"].agg(" ".join).reset_index()
         return out.rename(columns={"para": "text_clean"})
 
-    return (
-        docs.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(drop_frequent, batch_format="pandas")
-        .groupby("_b2")
-        .map_groups(reassemble, batch_format="pandas")
-    )
+    # co-group by line hash alone: every occurrence of a given para (and
+    # hence of every (host, para) pair) lands in one bucket
+    lines = docs.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
+    return cogroup(cogroup(lines, "para", drop_frequent), "doc_id", reassemble)
 
 
 def canonicalize_urls(u: pa.Array) -> pa.Array:
@@ -888,7 +828,7 @@ def canonicalize_urls(u: pa.Array) -> pa.Array:
     return pc.binary_join_element_wise(scheme, "", host, rest, "/")
 
 
-def url_canonical_dedup(sf_dir: str, n_buckets: int = 64):
+def url_canonical_dedup(sf_dir: str):
     """Canonical-URL exact dedup (the crawl-frontier / re-crawl collapse
     step): messy URL variants (tracking params, host case, trailing slash +
     fragment) are derived deterministically from doc_id arithmetic — three
@@ -898,8 +838,6 @@ def url_canonical_dedup(sf_dir: str, n_buckets: int = 64):
 
     Scale shape: stateless canonicalization pass, then ONE canonical-hash
     bucket co-group with the count+min finishing vectorized in-bucket."""
-    from ..functions.hashing import token_hashes
-
     docs = _read_docs(sf_dir, ["doc_id"])
 
     def mess_and_canon(t: pa.Table) -> pa.Table:
@@ -918,8 +856,7 @@ def url_canonical_dedup(sf_dir: str, n_buckets: int = 64):
         messy[m == 2] = uc
         messy[m == 3] = np.char.add(base[m == 3], "/#top")
         cu = canonicalize_urls(pa.array(list(messy), type=pa.string()))
-        b = (token_hashes(cu.to_pylist()) % n_buckets).astype(np.int64)
-        return pa.table({"_bucket": pa.array(b), "canonical_url": cu, "doc_id": pa.array(d)})
+        return pa.table({"canonical_url": cu, "doc_id": pa.array(d)})
 
     import pandas as pd
 
@@ -932,11 +869,8 @@ def url_canonical_dedup(sf_dir: str, n_buckets: int = 64):
         out["n_variants"] = out["n_variants"].astype(np.int64)
         return out
 
-    return (
-        docs.map_batches(mess_and_canon, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(collapse, batch_format="pandas")
-    )
+    urls = docs.map_batches(mess_and_canon, batch_format="pyarrow", zero_copy_batch=True)
+    return cogroup(urls, "canonical_url", collapse)
 
 
 def extract_outlinks(sf_dir: str):
@@ -1029,11 +963,9 @@ def training_export_audit(sf_dir: str):
             if cur is None or d < cur[0]:
                 best[s] = (int(d), int(nt))
         shas = sorted(best)
-        bucket = hex_prefix_int64(pa.array(shas, type=pa.string())) % 64
         return pa.table(
             {
                 "text_sha": pa.array(shas, pa.string()),
-                "_bucket": pa.array(bucket),
                 "doc_id": pa.array(np.asarray([best[s][0] for s in shas], dtype=np.int64)),
                 "n_tokens": pa.array(np.asarray([best[s][1] for s in shas], dtype=np.int64)),
             }
@@ -1058,12 +990,7 @@ def training_export_audit(sf_dir: str):
         )
 
     cols = ["n_unique", "n_train", "n_val", "n_test", "tok_train", "tok_val", "tok_test"]
-    agg = (
-        ext.map_batches(winner_partials, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(bucket_partial, batch_format="pandas")
-        .sum(cols)
-    )
+    agg = cogroup(ext.map_batches(winner_partials, batch_format="pyarrow"), "text_sha", bucket_partial).sum(cols)
     return pd.DataFrame([{c: int(agg[f"sum({c})"]) for c in cols}])
 
 
@@ -1383,8 +1310,6 @@ def inlink_counts(sf_dir: str):
     in-bucket distinct == global distinct)."""
     import pandas as pd
 
-    from .relational import map_key_buckets
-
     links = extract_outlinks(sf_dir)
 
     def pair_partial(t: pa.Table) -> pa.Table:
@@ -1395,10 +1320,8 @@ def inlink_counts(sf_dir: str):
             }
         )
         a = df.groupby(["link_url", "doc_id"], sort=False).size().reset_index(name="n")
-        h = pd.util.hash_array(a["link_url"].to_numpy(dtype=object)).astype(np.int64)
         return pa.table(
             {
-                "ukey": pa.array(h),
                 "link_url": pa.array(a["link_url"], pa.string()),
                 "doc_id": pa.array(a["doc_id"].to_numpy(dtype=np.int64)),
                 "n": pa.array(a["n"].to_numpy(dtype=np.int64)),
@@ -1414,7 +1337,7 @@ def inlink_counts(sf_dir: str):
         return a
 
     pairs = links.map_batches(pair_partial, batch_format="pyarrow", zero_copy_batch=True)
-    return map_key_buckets(pairs, "ukey", finish)
+    return cogroup(pairs, "link_url", finish)
 
 
 def image_header_features(sf_dir: str):

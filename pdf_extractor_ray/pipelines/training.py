@@ -20,7 +20,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .relational import N_KEY_BUCKETS, _read, map_key_buckets
+from .buckets import N_RANGE_BUCKETS, cogroup
+from .relational import _read
 
 #: Knuth multiplicative hash modulus/multiplier, chosen so the product
 #: (key % 2^31) * 2654435761 < 2^63 is exact in BOTH numpy int64 and
@@ -73,7 +74,6 @@ def token_budget_shards(sf_dir: str, budget: int = 5_000):
     agg = ds.aggregate(*_min_max("doc_id"))
     mn, mx = int(agg["min(doc_id)"]), int(agg["max(doc_id)"])
     span = max(mx - mn + 1, 1)
-    n_buckets = N_KEY_BUCKETS
 
     def narrow(t: pa.Table) -> pa.Table:
         did = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -81,7 +81,7 @@ def token_budget_shards(sf_dir: str, budget: int = 5_000):
             {
                 "doc_id": pa.array(did),
                 "n_tokens": pa.array(_n_tokens(t)),
-                "_bucket": pa.array((did - mn) * n_buckets // span),
+                "_bucket": pa.array((did - mn) * N_RANGE_BUCKETS // span),
             }
         )
 
@@ -146,7 +146,7 @@ def sample_orders_per_customer(sf_dir: str, k: int = 3):
     order key itself, so both engines pick identical rows.
 
     Scale shape: the per-key top-k runs inside hash(key)-buckets
-    (``map_key_buckets`` — B groups through the shuffle, never one per
+    (``cogroup`` — B groups through the shuffle, never one per
     customer), with the within-bucket selection a single vectorized
     sort + groupby(key).head(k)."""
     ds = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
@@ -165,7 +165,7 @@ def sample_orders_per_customer(sf_dir: str, k: int = 3):
         )
 
     withh = ds.map_batches(add_h, batch_format="pyarrow", zero_copy_batch=True)
-    return map_key_buckets(
+    return cogroup(
         withh, "o_custkey", pick, sort_by=["o_custkey", "_h", "o_orderkey"]
     )
 
@@ -177,13 +177,13 @@ def split_contamination(sf_dir: str, train_pct: int = 80, val_pct: int = 10):
     duplicates share text across ids.
 
     Scale shape: the train-side sha set is ~80% of the corpus, so it is
-    NEVER broadcast. Instead both sides co-locate by sha-prefix bucket
-    (one shuffle, B groups); inside each bucket a vectorized ``isin``
+    NEVER broadcast. Instead both sides co-locate by sha-hash bucket
+    (one ``cogroup`` shuffle); inside each bucket a vectorized ``isin``
     marks eval docs whose sha appears among the bucket's train shas, and
-    only ≤ 2·B partial count rows leave the shuffle (driver merges ~128
-    scalars). Composes ``split_assign``'s hash arithmetic with
-    ``dedup_exact``'s sha bucketing."""
-    from ..functions.hashing import hex_prefix_int64, sha256_hex
+    only ≤ 2 partial count rows per bucket leave the shuffle. Composes
+    ``split_assign``'s hash arithmetic with ``dedup_exact``'s sha
+    bucketing."""
+    from ..functions.hashing import sha256_hex
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     lo, hi = train_pct, train_pct + val_pct
@@ -197,10 +197,6 @@ def split_contamination(sf_dir: str, train_pct: int = 80, val_pct: int = 10):
             {
                 "sha": pa.array(sha, pa.string()),
                 "split": pa.array(split),
-                "_bucket": pa.array(
-                    hex_prefix_int64(pa.array(sha, type=pa.string()))
-                    % N_KEY_BUCKETS
-                ),
             }
         )
 
@@ -222,12 +218,9 @@ def split_contamination(sf_dir: str, train_pct: int = 80, val_pct: int = 10):
             .reset_index()
         )
 
-    parts = (
-        ds.map_batches(narrow, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(audit_bucket, batch_format="pandas")
-        .to_pandas()  # ≤ 2·B tiny partial rows
-    )
+    parts = cogroup(
+        ds.map_batches(narrow, batch_format="pyarrow", zero_copy_batch=True), "sha", audit_bucket
+    ).to_pandas()  # ≤ 2 tiny partial rows per bucket
     out = (
         parts.groupby("split", sort=False)[["n_docs", "n_contaminated"]]
         .sum()
@@ -365,7 +358,6 @@ def pack_sequences(sf_dir: str, seq_len: int = 256):
     agg = ds.aggregate(*_min_max("doc_id"))
     mn, mx = int(agg["min(doc_id)"]), int(agg["max(doc_id)"])
     span = max(mx - mn + 1, 1)
-    n_buckets = N_KEY_BUCKETS
     L = int(seq_len)
 
     def narrow(t: pa.Table) -> pa.Table:
@@ -374,7 +366,7 @@ def pack_sequences(sf_dir: str, seq_len: int = 256):
             {
                 "doc_id": pa.array(did),
                 "n_tokens": pa.array(_n_tokens(t)),
-                "_bucket": pa.array((did - mn) * n_buckets // span),
+                "_bucket": pa.array((did - mn) * N_RANGE_BUCKETS // span),
             }
         )
 
@@ -434,23 +426,11 @@ def source_mixture_sample(sf_dir: str, mult: int = 4):
     Scale shape: one pass; all rows of a source land in one source-hash
     bucket, so counts, ranks and the quota cut all finish in-bucket —
     no separate count pass and no second shuffle."""
-    from ..functions.sketches import fnv1a64_batch
-
-    B = N_KEY_BUCKETS
     ds = _read(sf_dir, "documents", ["doc_id", "source"])
 
     def keyed(t: pa.Table) -> pa.Table:
         did = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        src = t.column("source").to_pylist()
-        sk = (fnv1a64_batch([s.encode() for s in src]) % np.uint64(B)).astype(np.int64)
-        return pa.table(
-            {
-                "_bucket": pa.array(sk),
-                "doc_id": pa.array(did),
-                "source": t.column("source"),
-                "_h": pa.array(knuth_hash(did)),
-            }
-        )
+        return pa.table({"doc_id": pa.array(did), "source": t.column("source"), "_h": pa.array(knuth_hash(did))})
 
     def pick(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["source", "_h", "doc_id"], kind="mergesort")
@@ -465,11 +445,7 @@ def source_mixture_sample(sf_dir: str, mult: int = 4):
             }
         )
 
-    return (
-        ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(pick, batch_format="pandas")
-    )
+    return cogroup(ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True), "source", pick)
 
 
 def _word_counts_topv(ds, top_v: int):
@@ -478,19 +454,14 @@ def _word_counts_topv(ds, top_v: int):
     token-hash bucket merge (the heavy-hitter exchange layout — one row
     per distinct-word-per-batch crosses, never token instances) → a
     vocab-sized sort-limit."""
-    from ..functions.sketches import fnv1a64_batch
-
-    B = N_KEY_BUCKETS
 
     def partial(t: pa.Table) -> pa.Table:
         texts = t.column("text").to_pylist()
         toks = " ".join(texts).split(" ") if texts else []
         vc = pd.Series(toks, dtype="object").value_counts()
         words = vc.index.to_numpy(dtype=object)
-        bk = (fnv1a64_batch([w.encode() for w in words]) % np.uint64(B)).astype(np.int64)
         return pa.table(
             {
-                "_bucket": pa.array(bk),
                 "word": pa.array(list(words), pa.string()),
                 "n": pa.array(vc.to_numpy(dtype=np.int64)),
             }
@@ -501,9 +472,7 @@ def _word_counts_topv(ds, top_v: int):
         return out[["word", "n"]]
 
     return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(merge, batch_format="pandas")
+        cogroup(ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True), "word", merge)
         .sort(["n", "word"], descending=[True, False])
         .limit(top_v)
         .to_pandas()
@@ -557,7 +526,7 @@ def bpe_train_merges(sf_dir: str, n_merges: int = 20, top_v: int = 5_000):
     return bpe_merges_from_vocab(vocab, n_merges)
 
 
-def stratified_sample_by_decile(sf_dir: str, tiles: int = 10, k: int = 20, n_buckets: int = 64):
+def stratified_sample_by_decile(sf_dir: str, tiles: int = 10, k: int = 20):
     """Quantile-stratified deterministic sampling: rank every document by
     (n_chars, doc_id), cut into NTILE(tiles) strata, and keep the k
     hash-smallest docs per stratum — the curriculum/eval-set builder that
@@ -579,19 +548,19 @@ def stratified_sample_by_decile(sf_dir: str, tiles: int = 10, k: int = 20, n_buc
     span = float(hi - lo) or 1.0
 
     def bucket_of(v: np.ndarray) -> np.ndarray:
-        b = ((v - lo) / span * n_buckets).astype(np.int64)
-        return np.clip(b, 0, n_buckets - 1)
+        b = ((v - lo) / span * N_RANGE_BUCKETS).astype(np.int64)
+        return np.clip(b, 0, N_RANGE_BUCKETS - 1)
 
     def count_partial(t: pa.Table) -> pa.Table:
         v = t.column("n_chars").to_numpy(zero_copy_only=False)
-        c = np.bincount(bucket_of(v), minlength=n_buckets)
+        c = np.bincount(bucket_of(v), minlength=N_RANGE_BUCKETS)
         return pa.table(
-            {"_bucket": pa.array(np.arange(n_buckets, dtype=np.int64)),
+            {"_bucket": pa.array(np.arange(N_RANGE_BUCKETS, dtype=np.int64)),
              "n": pa.array(c.astype(np.int64))}
         )
 
     parts = ds.map_batches(count_partial, batch_format="pyarrow", zero_copy_batch=True).to_pandas()
-    counts = parts.groupby("_bucket")["n"].sum().reindex(range(n_buckets), fill_value=0).to_numpy()
+    counts = parts.groupby("_bucket")["n"].sum().reindex(range(N_RANGE_BUCKETS), fill_value=0).to_numpy()
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
     n_total = int(counts.sum())
     q, rem = divmod(n_total, tiles)
@@ -753,7 +722,7 @@ def logreg_quality_train(sf_dir: str, iters: int = 25, lr: float = 2.5):
     return fds.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def classifier_auc(sf_dir: str, n_buckets: int = 64):
+def classifier_auc(sf_dir: str):
     """Distributed ROC-AUC of the trained quality classifier — the model-
     evaluation metric a training pipeline gates on. Mann-Whitney rank form
     with AVERAGE ranks for ties: AUC = (Σ r̄_pos − P(P+1)/2) / (P·N).
@@ -768,14 +737,14 @@ def classifier_auc(sf_dir: str, n_buckets: int = 64):
     scored = logreg_quality_train(sf_dir)
 
     def bucket_of(p: np.ndarray) -> np.ndarray:
-        return np.clip((p * n_buckets).astype(np.int64), 0, n_buckets - 1)
+        return np.clip((p * N_RANGE_BUCKETS).astype(np.int64), 0, N_RANGE_BUCKETS - 1)
 
     def count_partial(t: pa.Table) -> pa.Table:
         p = t.column("prob").to_numpy(zero_copy_only=False)
-        c = np.bincount(bucket_of(p), minlength=n_buckets)
+        c = np.bincount(bucket_of(p), minlength=N_RANGE_BUCKETS)
         return pa.table(
             {
-                "_bucket": pa.array(np.arange(n_buckets, dtype=np.int64)),
+                "_bucket": pa.array(np.arange(N_RANGE_BUCKETS, dtype=np.int64)),
                 "n": pa.array(c.astype(np.int64)),
             }
         )
@@ -784,7 +753,7 @@ def classifier_auc(sf_dir: str, n_buckets: int = 64):
     parts = scored.map_batches(
         count_partial, batch_format="pyarrow", zero_copy_batch=True
     ).to_pandas()
-    counts = parts.groupby("_bucket")["n"].sum().reindex(range(n_buckets), fill_value=0).to_numpy()
+    counts = parts.groupby("_bucket")["n"].sum().reindex(range(N_RANGE_BUCKETS), fill_value=0).to_numpy()
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
 
     def add_bucket(t: pa.Table) -> pa.Table:
@@ -818,7 +787,7 @@ def classifier_auc(sf_dir: str, n_buckets: int = 64):
     return pd.DataFrame([{"auc": float(np.round(auc, 6)), "n_pos": np.int64(P), "n_neg": np.int64(N)}])
 
 
-def padding_waste_by_length_tile(sf_dir: str, tiles: int = 10, n_buckets: int = 64):
+def padding_waste_by_length_tile(sf_dir: str, tiles: int = 10):
     """Batch-padding efficiency audit: cut the corpus into NTILE(tiles)
     length strata (rank by (n_chars, doc_id) — total order, DuckDB tile
     semantics) and report per-tile padded waste if each stratum were
@@ -837,19 +806,19 @@ def padding_waste_by_length_tile(sf_dir: str, tiles: int = 10, n_buckets: int = 
     span = float(hi - lo) or 1.0
 
     def bucket_of(v: np.ndarray) -> np.ndarray:
-        b = ((v - lo) / span * n_buckets).astype(np.int64)
-        return np.clip(b, 0, n_buckets - 1)
+        b = ((v - lo) / span * N_RANGE_BUCKETS).astype(np.int64)
+        return np.clip(b, 0, N_RANGE_BUCKETS - 1)
 
     def count_partial(t: pa.Table) -> pa.Table:
         v = t.column("n_chars").to_numpy(zero_copy_only=False)
-        c = np.bincount(bucket_of(v), minlength=n_buckets)
+        c = np.bincount(bucket_of(v), minlength=N_RANGE_BUCKETS)
         return pa.table(
-            {"_bucket": pa.array(np.arange(n_buckets, dtype=np.int64)),
+            {"_bucket": pa.array(np.arange(N_RANGE_BUCKETS, dtype=np.int64)),
              "n": pa.array(c.astype(np.int64))}
         )
 
     parts = ds.map_batches(count_partial, batch_format="pyarrow", zero_copy_batch=True).to_pandas()
-    counts = parts.groupby("_bucket")["n"].sum().reindex(range(n_buckets), fill_value=0).to_numpy()
+    counts = parts.groupby("_bucket")["n"].sum().reindex(range(N_RANGE_BUCKETS), fill_value=0).to_numpy()
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
     n_total = int(counts.sum())
     q, rem = divmod(n_total, tiles)

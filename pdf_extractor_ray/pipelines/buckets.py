@@ -14,12 +14,16 @@ Contract for ``fn``:
   in ``sides`` order, holding only that side's own columns with that
   side's dtypes. There are no ``_bucket``/``_side``
   columns and no null padding, so an int64 column stays int64 (values
-  past 2^53 stay exact). A side with no rows in the bucket arrives as a
-  zero-row frame with its own dtypes. A side with no rows in ANY bucket
-  has no typed block Ray Data would run a UDF on: it arrives typed only
-  when its Dataset's schema is known without executing it (a read or a
-  materialized Dataset), else as a frame without columns, so callers
-  whose side can be empty everywhere check that first.
+  past 2^53 stay exact). A side with no rows in the bucket, or in any
+  bucket, arrives as a zero-row frame typed from the schema Ray reports
+  for that side, resolved on the driver before the co-group runs. With
+  several sides, a side whose schema Ray cannot tell without executing it
+  (one ending in a UDF) is materialized first, so a chained
+  ``cogroup([cogroup(...), ...])`` runs its inner co-group once. Only a
+  side whose last UDF never ran (its input had no rows) has no schema
+  anywhere; it arrives as a frame without columns. A materialized side
+  with more than O(CPUs) blocks is coalesced before it is tagged, so
+  callers need not tune their block counts to the co-group.
 - each frame is sorted by ``sort_by`` when given (pandas ``sort_values``).
   Alignment invariant carried over from the per-key window family: after
   that sort, pandas ``groupby(key, sort=False)`` group-major output order
@@ -46,8 +50,7 @@ carries meaning (a range partition, not a hash of one key):
 - the PageRank step (``graph._pagerank_round``, ``graph._pagerank_finish``),
   which routes each round's dangling mass to bucket ``-1``.
 
-These use the fixed grid ``N_RANGE_BUCKETS`` (PageRank its own
-``graph.PAGERANK_BUCKETS``).
+These all use the fixed grid ``N_RANGE_BUCKETS``.
 """
 
 from __future__ import annotations
@@ -68,9 +71,9 @@ N_KEY_BUCKETS = 64
 #: force many tiny buckets and pin bucket-count invariance.
 ROWS_PER_BUCKET = 2_000_000
 
-#: bucket count of the value-range partitions that keep their own
-#: ``groupby("_bucket")`` (module docstring): a fixed grid, since their
-#: per-bucket counts are offsets, not a memory bound.
+#: bucket count of the range partitions and the PageRank step, which keep
+#: their own ``groupby("_bucket")`` (module docstring): a fixed grid, since
+#: their bucket ids carry meaning, not a memory bound.
 N_RANGE_BUCKETS = 64
 
 
@@ -79,9 +82,8 @@ def _source_row_estimate(ds):
     the plan is a bare parquet read (``_meta_count``); otherwise the summed
     parquet-fragment ``num_rows`` of every Read op in the logical plan —
     exact for 1:1 transform chains, and off only by the stage's own
-    explode/filter factor otherwise (callers with a known large inflation
-    pass ``est_rows``). Returns None when no metadata exists (e.g.
-    ``from_items`` test inputs)."""
+    explode/filter factor otherwise. Returns None when no metadata exists
+    (e.g. ``from_items`` test inputs)."""
     try:
         mc = ds._meta_count()
         if mc:
@@ -137,6 +139,35 @@ def _ipc_schema(raw: bytes) -> pa.Schema:
     return pa.ipc.read_schema(pa.py_buffer(raw))
 
 
+def _empty_frame(ds):
+    """Zero-row pandas frame with the columns and dtypes of the schema Ray
+    reports for ``ds`` (no columns when it reports none)."""
+    import pandas as pd
+
+    base = getattr(ds.schema(), "base_schema", None)
+    if isinstance(base, pa.Schema):
+        return _to_pandas(base.empty_table(), None)
+    if base is None:
+        return pd.DataFrame()
+    return pd.DataFrame({c: pd.Series(dtype=t) for c, t in zip(base.names, base.types)})
+
+
+def _coalesced(ds):
+    """``ds`` cut to O(CPUs) blocks when it is materialized with more. The
+    co-group's sort splits every input block into one piece per input
+    block, so its cost grows with the square of the block count (the NOTES
+    block-count rule). Blocks still stay within Ray's target block size."""
+    import ray
+    from ray.data import DataContext
+    from ray.data.dataset import MaterializedDataset
+
+    if not isinstance(ds, MaterializedDataset):
+        return ds
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    k = max(cpus, -(-ds.size_bytes() // DataContext.get_current().target_max_block_size))
+    return ds.repartition(k) if ds.num_blocks() > k else ds
+
+
 def _to_pandas(t: pa.Table, sort_by):
     from ray.data.block import BlockAccessor
 
@@ -144,7 +175,7 @@ def _to_pandas(t: pa.Table, sort_by):
     return df if sort_by is None else df.sort_values(sort_by)
 
 
-def cogroup(sides, key: str, fn, *, sort_by=None, est_rows=None):
+def cogroup(sides, key: str, fn, *, sort_by=None):
     """Hash co-group of one Dataset or a list of Datasets on ``key`` (a
     column every side carries); ``fn(*frames)`` runs once per bucket with
     one pandas frame per side and returns a frame (module docstring)."""
@@ -152,8 +183,7 @@ def cogroup(sides, key: str, fn, *, sort_by=None, est_rows=None):
 
     if isinstance(sides, rd.Dataset):
         sides = [sides]
-    if est_rows is None:
-        est_rows = sum(e for e in map(_source_row_estimate, sides) if e) or None
+    est_rows = sum(e for e in map(_source_row_estimate, sides) if e) or None
     n = derive_n_buckets(sides[0], est_rows)
 
     if len(sides) == 1:
@@ -168,39 +198,35 @@ def cogroup(sides, key: str, fn, *, sort_by=None, est_rows=None):
         tagged = sides[0].map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
     else:
         # Blocks of different sides must share one schema before the union,
-        # so each batch of side i travels as n rows (_bucket, _side = i,
-        # _schema, _payload): _payload is the Arrow IPC record batch of that
-        # batch's rows in the bucket (null when it has none), _schema the
-        # batch's IPC schema, sent for every bucket so every bucket sees
-        # every side's typed schema. Ray Data calls no UDF on an empty
-        # block, so a side with no rows at all sends nothing: its frame is
-        # typed from the schema Ray already knows (a read or a materialized
-        # Dataset), else it has no columns.
-        known = [getattr(s.schema(fetch_if_missing=False), "base_schema", None) for s in sides]
-        empty = [k.empty_table() if isinstance(k, pa.Schema) else pa.table({}) for k in known]
+        # so each batch of side i travels as one row per bucket it has rows
+        # in: (_bucket, _side = i, _schema, _payload), _payload the Arrow
+        # IPC record batch of those rows and _schema the batch's IPC schema.
+        # A side with no rows in a bucket gets a zero-row frame typed on the
+        # driver. A side whose schema Ray cannot tell from its plan (one
+        # ending in a UDF) is materialized first: that runs it once, and its
+        # blocks then carry the schema even when it has no rows at all.
+        sides = [s if s.schema(fetch_if_missing=False) is not None else s.materialize() for s in sides]
+        empty = [_empty_frame(s) for s in sides]
 
         def tagger(i: int):
             def tag(t: pa.Table) -> pa.Table:
                 b = _bucket_of(t.column(key), n).to_numpy()
                 order = np.argsort(b, kind="stable")
-                ends = np.searchsorted(b[order], np.arange(1, n + 1))
-                rb = t.take(order).combine_chunks().to_batches()
-                rb = rb[0] if rb else pa.RecordBatch.from_pylist([], schema=t.schema)
-                starts = np.concatenate([[0], ends[:-1]])
+                ids, starts = np.unique(b[order], return_index=True)
+                ends = np.append(starts[1:], len(b))
+                rb = t.take(order).combine_chunks().to_batches()[0]
                 sink, offsets = pa.BufferOutputStream(), [0]
                 for start, end in zip(starts, ends):
-                    if end > start:
-                        sink.write(rb.slice(start, end - start).serialize())
+                    sink.write(rb.slice(start, end - start).serialize())
                     offsets.append(sink.tell())
-                valid = pa.array(ends > starts).buffers()[1]
                 payload = pa.LargeBinaryArray.from_buffers(
-                    pa.large_binary(), n, [valid, pa.py_buffer(np.array(offsets, np.int64)), sink.getvalue()]
+                    pa.large_binary(), len(ids), [None, pa.py_buffer(np.array(offsets, np.int64)), sink.getvalue()]
                 )
                 return pa.table(
                     {
-                        "_bucket": pa.array(np.arange(n, dtype=np.int64)),
-                        "_side": pa.array(np.full(n, i, dtype=np.int64)),
-                        "_schema": pa.array([t.schema.serialize().to_pybytes()] * n, pa.binary()),
+                        "_bucket": pa.array(ids.astype(np.int64)),
+                        "_side": pa.array(np.full(len(ids), i, dtype=np.int64)),
+                        "_schema": pa.array([t.schema.serialize().to_pybytes()] * len(ids), pa.binary()),
                         "_payload": payload,
                     }
                 )
@@ -211,26 +237,20 @@ def cogroup(sides, key: str, fn, *, sort_by=None, est_rows=None):
         def run(t: pa.Table):
             side = t.column("_side").to_numpy()
             frames = []
-            for i in range(len(sides)):
+            for i, zero in enumerate(empty):
                 rows = t.filter(pa.array(side == i))
-                schemas = [_ipc_schema(sc.as_py()) for sc in rows.column("_schema")]
+                if rows.num_rows == 0:
+                    frames.append(zero.copy())
+                    continue
                 tables = [
-                    pa.Table.from_batches([pa.ipc.read_record_batch(p.as_buffer(), sch)])
-                    for sch, p in zip(schemas, rows.column("_payload"))
-                    if p.is_valid
+                    pa.Table.from_batches([pa.ipc.read_record_batch(p.as_buffer(), _ipc_schema(sc.as_py()))])
+                    for sc, p in zip(rows.column("_schema"), rows.column("_payload"))
                 ]
-                if tables:
-                    part = pa.concat_tables(tables, promote_options="permissive")
-                else:
-                    part = schemas[0].empty_table() if schemas else empty[i]
-                frames.append(_to_pandas(part, sort_by))
-            out = fn(*frames)
-            # a bucket no side has rows in exists only through the schema
-            # rows; it keeps fn's output schema and contributes no rows
-            return out if any(len(f) for f in frames) else out[:0]
+                frames.append(_to_pandas(pa.concat_tables(tables, promote_options="permissive"), sort_by))
+            return fn(*frames)
 
         parts = [
-            s.map_batches(tagger(i), batch_format="pyarrow", zero_copy_batch=True)
+            _coalesced(s).map_batches(tagger(i), batch_format="pyarrow", zero_copy_batch=True)
             for i, s in enumerate(sides)
         ]
         tagged = parts[0].union(*parts[1:])

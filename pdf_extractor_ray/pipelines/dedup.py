@@ -561,14 +561,10 @@ def connected_components(
         msgs = cogroup([labels, edges], "node", gen_msgs)
         # materialize per round: bounds the lineage (otherwise each round
         # re-executes every prior round per consumer) — the label table is
-        # one (node, label) row per node, tiny next to the corpus. The
-        # repartition applies the NOTES block-count rule: the round's union
-        # adds the edge blocks to the label blocks, and without coalescing
-        # the next round's sort pays for every accumulated block (the
-        # bfs_hops failure, 2.9 s → 29.6 s per round, measured r3).
-        labels = (
-            _bucket_min_by_node(msgs, "node", "label").repartition(32).materialize()
-        )
+        # one (node, label) row per node, tiny next to the corpus. The next
+        # round's ``cogroup`` coalesces it to O(CPUs) blocks (NOTES
+        # block-count rule).
+        labels = _bucket_min_by_node(msgs, "node", "label").materialize()
         s = int(labels.sum("label"))  # distributed aggregate; a scalar reaches the driver
         if s == prev_sum:
             break

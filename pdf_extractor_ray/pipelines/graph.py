@@ -3,9 +3,10 @@
 Third iterative-algorithm family beside k-means (`similarity.kmeans_clusters`)
 and connected components (`dedup.connected_components*`): PageRank by power
 iteration, expressed as bucket co-grouped Dataset passes — ranks and edges
-are co-located by `node % B` hash buckets, contributions flow through ONE
-dst-bucket shuffle per iteration, and only B dangling-mass scalars reach the
-driver per round. No per-node Ray groups anywhere (the r2 ~1 ms/group rule).
+are co-located by `node % N_RANGE_BUCKETS` buckets, contributions flow
+through ONE dst-bucket shuffle per iteration, and only one dangling-mass
+scalar per bucket reaches the driver per round. No per-node Ray groups
+anywhere (the r2 ~1 ms/group rule).
 """
 
 from __future__ import annotations
@@ -14,21 +15,17 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .buckets import N_KEY_BUCKETS, cogroup
+from .buckets import N_RANGE_BUCKETS, cogroup
 from .relational import _read
 
 DAMPING = 0.85
-
-#: fixed bucket grid of the PageRank step, which routes each round's
-#: dangling mass to bucket -1 (one of the sites ``buckets.py`` names)
-PAGERANK_BUCKETS = N_KEY_BUCKETS
 
 
 def _customer_supplier_edges(sf_dir: str, min_qty: int | None = None):
     """Derived bipartite purchase graph: DISTINCT customer→supplier edges
     via orders ⋈ lineitem on the order key. Suppliers get node ids offset
     by 2^32 so the two id spaces cannot collide. The join is the proven
-    bucket co-group: both sides keyed by orderkey % B, merged vectorized
+    ``cogroup`` of both sides on the order key, merged vectorized
     inside the bucket, deduplicated per bucket before leaving it.
     ``min_qty`` keeps only high-quantity purchase edges (exact integer
     rule) — the sparser subgraph BFS traverses; None keeps all (PageRank,
@@ -82,11 +79,11 @@ def pagerank(sf_dir: str, n_iters: int = 10, damping: float = DAMPING):
     a measured union+groupby pass costs seconds of fixed overhead, so the
     rank-rebuild is FOLDED into the next round's pass instead of being its
     own shuffle): the iteration state is the (node, contribution) partial
-    table keyed by node % B; each pass unions {partials, node skeleton,
-    src-bucketed edges} — all three keyed by the SAME bucket id — and
+    table keyed by node % N_RANGE_BUCKETS; each pass unions {partials, node
+    skeleton, src-bucketed edges} — all three keyed by the SAME bucket id — and
     inside the bucket (a) reduces partials to ranks in sorted order,
     (b) joins ranks onto the co-resident edges, emitting next-round
-    (dst, contrib) partials plus one dangling scalar per bucket. Only B
+    (dst, contrib) partials plus one dangling scalar per bucket. Only those
     dangling scalars reach the driver per round. Edges and skeleton are
     materialized once and re-read from the object store every round.
     Float sums happen in sorted key order, so results are bit-reproducible
@@ -153,7 +150,6 @@ def pagerank_resumable(
     )
     rid = run_id or _uuid.uuid4().hex[:8]
     static, n_nodes = _pagerank_static(sf_dir)
-    B = PAGERANK_BUCKETS
     state = None
     base = 1.0 / n_nodes
     uniform = True
@@ -177,7 +173,7 @@ def pagerank_resumable(
         node, c = node[~is_base], c[~is_base]
         t = pa.table(
             {
-                "_bucket": pa.array(node % B),
+                "_bucket": pa.array(node % N_RANGE_BUCKETS),
                 "kind": pa.array(np.zeros(len(node), dtype=np.int8)),
                 "node": pa.array(node),
                 "c": pa.array(c),
@@ -215,7 +211,6 @@ def _pagerank_static(sf_dir: str):
     skeleton ∪ degree-annotated edges, coalesced to O(CPUs) blocks once —
     NOTES block-count rule) and the node count. Shared by ``pagerank`` and
     the checkpoint/resume variant."""
-    B = PAGERANK_BUCKETS
     edges = _customer_supplier_edges(sf_dir)
 
     def degree(g: pd.DataFrame) -> pd.DataFrame:
@@ -259,7 +254,7 @@ def _pagerank_static(sf_dir: str):
         n = t.num_rows
         return pa.table(
             {
-                "_bucket": pa.array(t.column("node").to_numpy(zero_copy_only=False) % B),
+                "_bucket": pa.array(t.column("node").to_numpy(zero_copy_only=False) % N_RANGE_BUCKETS),
                 "kind": pa.array(np.full(n, 1, dtype=np.int8)),
                 "node": t.column("node"),
                 "c": pa.array(np.zeros(n)),
@@ -273,7 +268,7 @@ def _pagerank_static(sf_dir: str):
         n = len(s)
         return pa.table(
             {
-                "_bucket": pa.array(s % B),
+                "_bucket": pa.array(s % N_RANGE_BUCKETS),
                 "kind": pa.array(np.full(n, 2, dtype=np.int8)),
                 "node": pa.array(s),
                 "c": pa.array(np.zeros(n)),
@@ -300,12 +295,11 @@ def _pagerank_static(sf_dir: str):
 def _pagerank_round(static, state, base, uniform, damping, n_nodes):
     """One power-iteration round (shared by ``pagerank`` and the
     checkpoint/resume variant): co-group {static, state partials}, emit
-    next-round partials + B dangling scalars, return (new_state, new_base).
+    next-round partials + one dangling scalar per bucket, return
+    (new_state, new_base).
     Deterministic regardless of block layout: every in-bucket float sum
     happens in sorted (node, c) order and the dangling sum sorts first."""
     import pyarrow.compute as pc
-
-    B = PAGERANK_BUCKETS
 
     def make_pass(base_val, uniform):
         def step(g: pd.DataFrame) -> pd.DataFrame:
@@ -338,7 +332,7 @@ def _pagerank_round(static, state, base, uniform, damping, n_nodes):
                 {
                     "_bucket": np.where(
                         agg["node"].to_numpy() >= 0,
-                        agg["node"].to_numpy(dtype=np.int64) % B,
+                        agg["node"].to_numpy(dtype=np.int64) % N_RANGE_BUCKETS,
                         -1,
                     ).astype(np.int64),
                     "kind": np.zeros(len(agg), dtype=np.int8),
@@ -591,15 +585,7 @@ def triangle_count(sf_dir: str, broadcast_nodes: int = 100_000):
         u, c = np.unique(allw, return_counts=True)
         return pd.DataFrame({"ekey": u, "n": c.astype(np.int64)})
 
-    wedges = cogroup(oriented, "src", wedges_in_bucket).materialize()
-    if wedges.count() == 0:  # nothing to close (and no typed wedge block)
-        return pd.DataFrame(
-            {
-                "n_nodes": np.array([n_nodes], dtype=np.int64),
-                "n_edges": np.array([n_edges], dtype=np.int64),
-                "n_triangles": np.array([0], dtype=np.int64),
-            }
-        )
+    wedges = cogroup(oriented, "src", wedges_in_bucket)
 
     # closing test: co-group wedge partials with edge rows on ekey
     def close_count(w: pd.DataFrame, e: pd.DataFrame) -> pd.DataFrame:
@@ -643,16 +629,10 @@ def bfs_hops(sf_dir: str, seed: int = 1, max_hops: int = 4):
         d = t.column("dst").to_numpy(zero_copy_only=False)
         return pa.table({"src": pa.array(np.concatenate([s, d])), "dst": pa.array(np.concatenate([d, s]))})
 
-    # NOTES iterative-coalescing rule: blocks that re-enter a shuffle every
-    # round stay at O(CPUs); without this the union's block count grows by
-    # +128/round and round time grows 2.9 s → 29.6 s (measured). 8, not 32:
-    # a two-sided cogroup ships one row per (block, bucket), so each block
-    # costs a fixed share of every round.
-    edges_b = (
-        edges.map_batches(undirect, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(8)
-        .materialize()
-    )
+    # materialized once, re-read every round; ``cogroup`` coalesces it and
+    # the round state to O(CPUs) blocks (NOTES iterative-coalescing rule:
+    # uncoalesced, round time grew 2.9 s → 29.6 s, measured)
+    edges_b = edges.map_batches(undirect, batch_format="pyarrow", zero_copy_batch=True).materialize()
 
     def init_labels(t: pa.Table) -> pa.Table:
         s = t.column("src").to_numpy(zero_copy_only=False)
@@ -670,11 +650,9 @@ def bfs_hops(sf_dir: str, seed: int = 1, max_hops: int = 4):
             }
         )
 
-    labels = (
-        cogroup(edges_b.map_batches(init_labels, batch_format="pyarrow", zero_copy_batch=True), "src", dedup_labels)
-        .repartition(8)
-        .materialize()
-    )
+    labels = cogroup(
+        edges_b.map_batches(init_labels, batch_format="pyarrow", zero_copy_batch=True), "src", dedup_labels
+    ).materialize()
 
     def make_step(last: bool):
         def step(e: pd.DataFrame, st: pd.DataFrame) -> pa.Table:
@@ -724,7 +702,7 @@ def bfs_hops(sf_dir: str, seed: int = 1, max_hops: int = 4):
 
     state = labels
     for r in range(max_hops + 1):
-        state = cogroup([edges_b, state], "src", make_step(r == max_hops)).repartition(8).materialize()
+        state = cogroup([edges_b, state], "src", make_step(r == max_hops)).materialize()
 
     def finish(t: pa.Table) -> pa.Table:
         h = t.column("hops").to_numpy(zero_copy_only=False)
@@ -786,22 +764,24 @@ def kcore_nodes(sf_dir: str, k: int = 3, max_rounds: int = 50, frontier_broadcas
             }
         )
 
-    def _anti_join_endpoint(eds, drop_ds, shift: int):
-        """Drop edges whose endpoint at ``shift`` is in drop_ds: node-hash
-        ``cogroup`` of edge rows (keyed by that endpoint) with drop rows."""
+    def high_endpoint(t: pa.Table) -> pa.Table:
+        ek = t.column("ekey").to_numpy(zero_copy_only=False)
+        return pa.table({"node": pa.array(ek >> 32), "ekey": pa.array(ek)})
 
-        def endpoint(t: pa.Table) -> pa.Table:
-            ek = t.column("ekey").to_numpy(zero_copy_only=False)
-            return pa.table({"node": pa.array((ek >> shift) & 0xFFFFFFFF), "ekey": pa.array(ek)})
+    def keep_off_drop(e: pd.DataFrame, d: pd.DataFrame) -> pd.DataFrame:
+        """Edges whose ``node`` endpoint is not a drop row, keyed next by
+        their low endpoint."""
+        keep = ~np.isin(e["node"].to_numpy(dtype=np.int64), d["node"].to_numpy(dtype=np.int64))
+        ek = e["ekey"].to_numpy(dtype=np.int64)[keep]
+        return pd.DataFrame({"node": ek & 0xFFFFFFFF, "ekey": ek})
 
-        def filt(e: pd.DataFrame, d: pd.DataFrame) -> pd.DataFrame:
-            keep = ~np.isin(e["node"].to_numpy(dtype=np.int64), d["node"].to_numpy(dtype=np.int64))
-            return pd.DataFrame({"ekey": e["ekey"].to_numpy(dtype=np.int64)[keep]})
-
-        if eds.count() == 0:  # nothing to drop from (and no typed edge block)
-            return eds
-        ends = eds.map_batches(endpoint, batch_format="pyarrow", zero_copy_batch=True)
-        return cogroup([ends, drop_ds.select_columns(["node"])], "node", filt).materialize()
+    def _anti_join(eds, drop_ds):
+        """Drop edges with an endpoint in drop_ds: one node-hash ``cogroup``
+        with the drop rows per endpoint, high endpoint first."""
+        drop = drop_ds.select_columns(["node"])
+        high = eds.map_batches(high_endpoint, batch_format="pyarrow", zero_copy_batch=True)
+        low = cogroup([high, drop], "node", keep_off_drop)
+        return cogroup([low, drop], "node", keep_off_drop).select_columns(["ekey"])
 
     for _ in range(max_rounds):
         degs = cogroup(
@@ -845,8 +825,6 @@ def kcore_nodes(sf_dir: str, k: int = 3, max_rounds: int = 50, frontier_broadcas
             )
         else:
             # scale path (round-1-sized frontiers): two co-group anti-joins
-            edges = _anti_join_endpoint(
-                _anti_join_endpoint(edges, drop_ds, 32), drop_ds, 0
-            )
+            edges = _anti_join(edges, drop_ds)
         edges = edges.repartition(8).materialize()
     raise RuntimeError(f"kcore_nodes: no fixpoint within {max_rounds} rounds")

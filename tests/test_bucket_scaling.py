@@ -171,6 +171,47 @@ def test_two_sided_cogroup_is_int64_exact_and_types_empty_sides():
     assert sorted(len(r) for r in got["a_rows"]) == [0, 1, 2]
 
 
+def test_side_empty_everywhere_arrives_typed():
+    """A side with no rows in ANY bucket, ending in a UDF so Ray cannot
+    tell its schema from the plan, still reaches fn as a zero-row frame
+    with its own int64 columns: as a map_batches output and as a lazy
+    co-group output."""
+    import ray.data as rd
+
+    a = rd.from_arrow(pa.table({"k": pa.array([1, 2, 3], pa.int64())}))
+    by_udf = a.map_batches(
+        lambda t: t.append_column("v", t.column("k")).slice(0, 0), batch_format="pyarrow"
+    )
+    by_cogroup = cogroup(a, "k", lambda g: g.assign(v=g["k"]).iloc[:0])
+
+    def probe(fa: pd.DataFrame, fb: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"n": [len(fa)], "b": [",".join(f"{c}:{t}" for c, t in fb.dtypes.items())]})
+
+    for side in (by_udf, by_cogroup):
+        assert side.schema(fetch_if_missing=False) is None
+        got = cogroup([a, side], "k", probe).to_pandas()
+        assert got["n"].sum() == 3
+        assert set(got["b"]) == {"k:int64,v:int64"}
+
+
+def test_set_op_with_no_high_balance_customer(tmp_path):
+    """EXCEPT against a side that is empty everywhere keeps every distinct
+    order custkey; INTERSECT keeps none."""
+    import pyarrow.parquet as pq
+
+    from pdf_extractor_ray.pipelines.relational import except_custkeys, intersect_custkeys
+
+    pq.write_table(pa.table({"o_custkey": pa.array([5, 3, 5, 9], pa.int64())}), tmp_path / "orders.parquet")
+    pq.write_table(
+        pa.table({"c_custkey": pa.array([3, 5, 9], pa.int64()), "c_acctbal": pa.array([10.0, 4999.0, 5000.0])}),
+        tmp_path / "customer.parquet",
+    )
+    got = _canon(except_custkeys(str(tmp_path)))
+    assert got["custkey"].tolist() == [3, 5, 9]
+    assert str(got["custkey"].dtype) == "int64"
+    assert len(intersect_custkeys(str(tmp_path)).to_pandas()) == 0
+
+
 def test_stage_is_named_after_the_callback(sf_dir):
     from pdf_extractor_ray.pipelines.relational import running_total
 

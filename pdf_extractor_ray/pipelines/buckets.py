@@ -1,4 +1,5 @@
-"""One bucketed co-group primitive for every hash-partitioned reduce step.
+"""One bucketed co-group primitive for every hash-partitioned reduce step,
+and one merge for per-key partial aggregates built on it.
 
 ``cogroup(sides, key, fn)`` is the tagged reduce-side join ("Binary
 Theta-Joins using MapReduce", EDBT 2014) as one operator. Every row of
@@ -51,12 +52,53 @@ carries meaning (a range partition, not a hash of one key):
   which routes each round's dangling mass to bucket ``-1``.
 
 These all use the fixed grid ``N_RANGE_BUCKETS``.
+
+``combine(ds, keys, aggs)`` is every per-key ``sum``/``min``/``max``/
+``count`` and every distinct-key (``aggs = {}``) merge. ``aggs`` maps each
+output column to ``(input column, op)``; ``count`` counts the column's
+non-null values, like SQL ``COUNT(col)``. Its contract:
+
+- a per-batch ``pa.Table.group_by`` partial runs as one ``map_batches``
+  that Ray fuses into the caller's last map stage, and the partials are
+  materialized;
+- path choice: when they number at most ``ROWS_PER_BUCKET`` rows (the
+  one-frame memory bound of a co-group bucket), the driver merges them
+  with one ``group_by`` (``count`` partials add up) and returns the result
+  through ``ray.data.from_arrow``; past that, the same merge runs per
+  bucket of ``cogroup(partials, keys[0], ...)``. There is no other
+  shuffle code and no other size knob;
+- row order: the driver path returns rows sorted by ``keys``; the
+  co-group path returns them in bucket order, so callers that need an
+  order sort;
+- types: Arrow's own ``sum``/``min``/``max``/``count`` kernels on both
+  levels, so int64 sums stay exact past 2^53 and an int32 column sums to
+  int64. Float sums are not compensated (pandas' are), so a float site
+  moves only where its output is rounded or its values are exact;
+- empty input: zero rows, typed with the key and aggregate columns when
+  Ray reports the input's schema without running it (a read, a
+  materialized Dataset), and without columns otherwise;
+- every execution it starts is consumed (a materialize and one
+  ``ray.get`` of its blocks); it starts no actor;
+- callers that finish on the driver read the result with ``to_frame``:
+  ``Dataset.to_pandas()`` starts a Ray Data execution (~20 ms) even for
+  the in-memory result of the driver merge.
+
+Merges that keep another mechanism, and why:
+
+- sketch, argmax, histogram-array and skyline merges (HLL/KMV registers,
+  per-key argmax, ``_exact_int_quantiles_multi``'s per-range bin vectors,
+  Pareto fronts): their merge is not one of the four ops;
+- ``Mean``/``Std`` (``mean_std_agg``, ``zscore_by_group``): Ray's
+  aggregates keep their own float accumulation, which their oracles are
+  rounded against;
+- ``textops.export_roundtrip_manifest``: a checksum summed modulo 2^k;
+- global scalar ``ds.aggregate(...)``/``ds.sum(...)`` calls: one row, no
+  key to merge on.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 
 import numpy as np
 import pyarrow as pa
@@ -67,8 +109,9 @@ import pyarrow as pa
 N_KEY_BUCKETS = 64
 
 #: target rows handed to ONE bucket worker as a single pandas frame —
-#: a few-hundred-MB frame for narrow event rows. Env-tunable so tests can
-#: force many tiny buckets and pin bucket-count invariance.
+#: a few-hundred-MB frame for narrow event rows. Also the most partial rows
+#: ``combine`` merges on the driver. Tests patch it to force many tiny
+#: buckets and the co-group merge, and pin that results do not change.
 ROWS_PER_BUCKET = 2_000_000
 
 #: bucket count of the range partitions and the PageRank step, which keep
@@ -112,13 +155,12 @@ def derive_n_buckets(ds, est_rows=None) -> int:
     bounded BY DESIGN: ``ceil(rows / ROWS_PER_BUCKET)`` with
     ``N_KEY_BUCKETS`` as the minimum. Results are invariant to the bucket
     count (bucketing is pure partitioning); tests pin that by forcing a
-    tiny GRAFT_ROWS_PER_BUCKET."""
+    tiny ``ROWS_PER_BUCKET``."""
     if est_rows is None:
         est_rows = _source_row_estimate(ds)
     if not est_rows:
         return N_KEY_BUCKETS
-    rpb = int(os.environ.get("GRAFT_ROWS_PER_BUCKET", ROWS_PER_BUCKET))
-    return max(N_KEY_BUCKETS, -(-int(est_rows) // max(rpb, 1)))
+    return max(N_KEY_BUCKETS, -(-int(est_rows) // max(ROWS_PER_BUCKET, 1)))
 
 
 def _bucket_of(col, n: int) -> pa.Array:
@@ -255,3 +297,62 @@ def cogroup(sides, key: str, fn, *, sort_by=None):
         ]
         tagged = parts[0].union(*parts[1:])
     return tagged.groupby("_bucket").map_groups(run, batch_format="pyarrow")
+
+
+#: how ``combine`` merges the partials of each op
+_MERGE_OP = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
+
+
+def combine(ds, keys, aggs: dict):
+    """Per-key ``sum``/``min``/``max``/``count`` of ``ds``: ``aggs`` maps
+    each output column to ``(input column, op)``; ``{}`` gives the distinct
+    keys. Returns a Dataset of the key columns, then ``aggs`` in order
+    (module docstring)."""
+    import ray
+    import ray.data as rd
+
+    keys = [keys] if isinstance(keys, str) else list(keys)
+
+    def grouped(t: pa.Table, specs) -> pa.Table:
+        return t.group_by(keys, use_threads=False).aggregate(specs).rename_columns(keys + list(aggs))
+
+    def partial_agg(t: pa.Table) -> pa.Table:
+        return grouped(t, list(aggs.values()))
+
+    def merge(t: pa.Table) -> pa.Table:
+        return grouped(t, [(out, _MERGE_OP[op]) for out, (_, op) in aggs.items()])
+
+    parts = ds.map_batches(partial_agg, batch_format="pyarrow", zero_copy_batch=True, batch_size=None).materialize()
+    if parts.count() > ROWS_PER_BUCKET:
+        schema = getattr(parts.schema(), "base_schema", None)
+        schema = schema if isinstance(schema, pa.Schema) else None
+
+        @functools.wraps(merge)
+        def merge_bucket(df):
+            return merge(pa.Table.from_pandas(df, schema=schema, preserve_index=False))
+
+        return cogroup(parts, keys[0], merge_bucket)
+    # Ray runs no UDF on a zero-row block: it passes on as an input block,
+    # possibly a pandas one, so only blocks with rows are partials
+    tables = [t for t in ray.get(parts.to_arrow_refs()) if len(t)]
+    if not tables:
+        schema = getattr(ds.schema(fetch_if_missing=False), "base_schema", None)
+        if not isinstance(schema, pa.Schema):
+            return rd.from_arrow(pa.table({}))
+        tables = [partial_agg(schema.empty_table())]
+    merged = merge(pa.concat_tables(tables, promote_options="permissive"))
+    return rd.from_arrow(merged.sort_by([(k, "ascending") for k in keys]))
+
+
+def to_frame(ds):
+    """All rows of ``ds`` as one pandas frame, read from its blocks.
+    ``Dataset.to_pandas()`` and ``to_arrow_refs()`` start a Ray Data
+    execution even for the in-memory result of ``combine``'s driver merge,
+    ~20 ms at any size: most of a sub-second query that finishes on the
+    driver. Executing the plan hands back an in-memory Dataset's blocks
+    without one, and runs a lazy one as ``to_pandas`` would."""
+    import ray
+    from ray.data.block import BlockAccessor
+
+    tables = [BlockAccessor.for_block(b).to_arrow() for b in ray.get(ds._plan.execute().block_refs)]
+    return pa.concat_tables(tables, promote_options="permissive").to_pandas() if tables else ds.to_pandas()

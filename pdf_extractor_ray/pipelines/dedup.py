@@ -21,7 +21,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.sketches import MinHasher, char_ngrams, jaccard, shingles, simhash64
-from .buckets import cogroup
+from .buckets import cogroup, combine
 
 NUM_PERM = 64
 NUM_BANDS = 16  # 16 bands × 4 rows → catches J≳0.6 with high prob
@@ -183,24 +183,16 @@ def minhash_candidates_ds(docs_ds, concurrency=None, mode: str = "word"):
 
 
 def _hot_int_keys(ds, key_fn) -> np.ndarray | None:
-    """Int64 keys with ≥2 members in ``ds``, via per-batch partial counts
-    and ONE bucket-level grouped merge — no per-key Ray groups (the native
-    Count aggregate had one group per DISTINCT key ≈ corpus × bands).
-    ``key_fn(batch) -> np.ndarray[int64]``. None when nothing is hot."""
+    """Int64 keys with ≥2 members in ``ds``, counted by ``combine`` — no
+    per-key Ray groups (the native Count aggregate had one group per
+    DISTINCT key ≈ corpus × bands). ``key_fn(batch) -> np.ndarray[int64]``.
+    None when nothing is hot."""
 
-    def hot_partial(t: pa.Table) -> pa.Table:
-        return (
-            pa.table({"k": pa.array(key_fn(t), type=pa.int64())})
-            .group_by("k")
-            .aggregate([("k", "count")])
-            .rename_columns(["k", "n"])
-        )
+    def keys(t: pa.Table) -> pa.Table:
+        return pa.table({"k": pa.array(key_fn(t), type=pa.int64())})
 
-    def hot_merge(g: pd.DataFrame) -> pd.DataFrame:
-        s = g.groupby("k", sort=False, as_index=False)["n"].sum()
-        return s.loc[s["n"] >= 2, ["k"]]
-
-    hot = cogroup(ds.map_batches(hot_partial, batch_format="pyarrow"), "k", hot_merge).to_pandas()
+    counts = combine(ds.map_batches(keys, batch_format="pyarrow"), "k", {"n": ("k", "count")})
+    hot = counts.filter(expr="n >= 2").to_pandas()
     if len(hot) == 0:
         return None
     return hot["k"].to_numpy(dtype=np.int64)
@@ -235,9 +227,7 @@ def _dedup_verified(verified_ds, col_a: str, col_b: str, val_col: str):
     at ~0.4 ms/group in Ray's grouped aggregate — 32 s for 80k candidate
     groups at sf0.001 — while the verified set is orders of magnitude
     smaller; duplicate verify work is a vectorized no-op by comparison."""
-    from ray.data.aggregate import Min
-
-    return verified_ds.groupby([col_a, col_b]).aggregate(Min(val_col, alias_name=val_col))
+    return combine(verified_ds, [col_a, col_b], {val_col: (val_col, "min")})
 
 
 def _broadcast_candidate_ids(pairs_ds):
@@ -424,31 +414,6 @@ def _bucket_distinct(ds, cols: list[str]):
     return cogroup(ds, cols[0], distinct)
 
 
-def _bucket_min_by_node(ds, node_col: str, val_col: str):
-    """Per-node min via bucket-level groups: partial per-batch combiner
-    (pa.Table.group_by) shrinks the shuffle, then one pandas groupby-min per
-    BUCKET. Replaces ``groupby(node).aggregate(Min)`` (one group per node)."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        return (
-            t.select([node_col, val_col])
-            .group_by(node_col)
-            .aggregate([(val_col, "min")])
-            .rename_columns([node_col, val_col])
-        )
-
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.groupby(node_col, sort=False)[val_col].min()
-        return pd.DataFrame(
-            {
-                node_col: m.index.to_numpy(dtype=np.int64),
-                val_col: m.to_numpy(dtype=np.int64),
-            }
-        )
-
-    return cogroup(ds.map_batches(partial, batch_format="pyarrow"), node_col, combine)
-
-
 def connected_components(
     pairs_ds,
     col_a: str = "doc_a",
@@ -564,7 +529,7 @@ def connected_components(
         # one (node, label) row per node, tiny next to the corpus. The next
         # round's ``cogroup`` coalesces it to O(CPUs) blocks (NOTES
         # block-count rule).
-        labels = _bucket_min_by_node(msgs, "node", "label").materialize()
+        labels = combine(msgs, "node", {"label": ("label", "min")}).materialize()
         s = int(labels.sum("label"))  # distributed aggregate; a scalar reaches the driver
         if s == prev_sum:
             break
@@ -739,7 +704,7 @@ def connected_components_star(pairs_ds, col_a: str = "doc_a", col_b: str = "doc_
         lambda t: pa.table({"node": t.column("u"), "component": t.column("v")}),
         batch_format="pyarrow",
     )
-    return _bucket_min_by_node(nodes_ds.union(child_labels), "node", "component")
+    return combine(nodes_ds.union(child_labels), "node", {"component": ("component", "min")})
 
 
 def dup_components(sf_dir: str, threshold: float = 0.4, n_bands: int = 24, planes_per_band: int = 4):
@@ -786,27 +751,14 @@ def simhash_dup_groups(sf_dir: str):
     → groups with >1 member (near-dup at Hamming distance 0; Hamming ≤3 is
     simhash_near_dup's banded path).
 
-    Shape (r3): per-batch (simhash, n, min_doc) partials merged in
-    fingerprint-hash buckets (``cogroup``) — the native per-fingerprint Count/Min paid
-    the per-group aggregate tax on a corpus-sized key space, and the >1
-    filter was a per-row Python lambda; both are now vectorized in the
-    bucket merge."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        return (
-            t.group_by("simhash")
-            .aggregate([("doc_id", "count"), ("doc_id", "min")])
-            .rename_columns(["simhash", "n_docs", "rep_doc"])
-        )
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.groupby("simhash", sort=False, as_index=False).agg(
-            n_docs=("n_docs", "sum"), rep_doc=("rep_doc", "min")
-        )
-        return m.loc[m["n_docs"] > 1, ["simhash", "n_docs", "rep_doc"]]
-
-    partials = simhash_fingerprints(sf_dir).map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    return cogroup(partials, "simhash", merge)
+    Shape (r3): (simhash, n, min_doc) merged by ``combine`` — the native
+    per-fingerprint Count/Min paid the per-group aggregate tax on a
+    corpus-sized key space, and the >1 filter was a per-row Python
+    lambda; it is now one filter expression over the merged rows."""
+    groups = combine(
+        simhash_fingerprints(sf_dir), "simhash", {"n_docs": ("doc_id", "count"), "rep_doc": ("doc_id", "min")}
+    )
+    return groups.filter(expr="n_docs > 1")
 
 
 #: 64-bit fingerprint split into four disjoint 16-bit chunks: two

@@ -14,6 +14,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .buckets import combine
+
 
 def _read(sf_dir: str, table: str, columns=None):
     from ..ioutil import read_table
@@ -77,12 +79,7 @@ def classify_three_pass(sf_dir: str):
     import ray
 
     docs = _read(sf_dir, "documents", ["doc_id", "source", "lang"])
-    distinct = (
-        docs.select_columns(["source", "lang"])
-        .groupby(["source", "lang"])
-        .count()
-        .drop_columns(["count()"])
-    )
+    distinct = combine(docs, ["source", "lang"], {})
     classified = distinct.map_batches(
         RuleClassifier, batch_format="pyarrow", concurrency=(1, 2), batch_size=None
     ).to_pandas()  # |distinct (source, lang)| rows — tiny
@@ -270,8 +267,7 @@ def classify_three_pass_resumable(
     table. A crash after stage 1 resumes without re-running the model."""
 
     def p_classify_distinct(_):
-        docs = _read(sf_dir, "documents", ["source", "lang"])
-        distinct = docs.groupby(["source", "lang"]).count().drop_columns(["count()"])
+        distinct = combine(_read(sf_dir, "documents", ["source", "lang"]), ["source", "lang"], {})
         return distinct.map_batches(
             RuleClassifier, batch_format="pyarrow", concurrency=(1, 2), batch_size=None
         )

@@ -2,8 +2,8 @@
 
 Ray-Data-first shape (SURVEY.md §7.1): ``read_parquet`` (or the synthetic
 pages stage) → one ``map_batches`` extraction stage → streaming
-consumers (``write_parquet`` partitioned by url-hash, or grouped quality
-stats with per-batch pre-aggregation before the shuffle).
+consumers (``write_parquet`` partitioned by url-hash, or per-host quality
+stats merged by ``buckets.combine``).
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..schemas import DEFAULT_NUM_PARTITIONS
 from ..stages.extract import ExtractDocuments
@@ -57,8 +58,6 @@ def dedup_extracted_by_url(extracted_ds):
     from .buckets import cogroup
 
     def add_rank_key(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         status = t.column("status")
         rank = pc.if_else(
             pc.equal(status, "ok"),
@@ -86,19 +85,17 @@ def dedup_extracted_by_url(extracted_ds):
 
 
 def _quality_partials(batch: pa.Table) -> pa.Table:
-    """Per-batch partial aggregation (combiner) before the groupby shuffle:
-    emit one row per host per batch instead of one per page, so the
-    all-to-all exchange moves ~|hosts| rows per block, not the whole table.
-    This is also the skew defence — a 40%-of-corpus host contributes one
-    partial row per block regardless of its row share."""
-    import pyarrow.compute as pc
-
-    tbl = pa.table(
+    """Per-page quality columns, reduced per host inside the same map stage
+    by ``combine``'s per-batch partial: each block contributes one row per
+    host, so a 40%-of-corpus host adds one partial row per block regardless
+    of its row share."""
+    status = batch.column("status")
+    return pa.table(
         {
             "host": batch.column("host"),
-            "is_ok": pc.cast(pc.equal(batch.column("status"), "ok"), pa.int64()),
-            "is_error": pc.cast(pc.equal(batch.column("status"), "error"), pa.int64()),
-            "is_empty": pc.cast(pc.equal(batch.column("status"), "empty"), pa.int64()),
+            "is_ok": pc.cast(pc.equal(status, "ok"), pa.int64()),
+            "is_error": pc.cast(pc.equal(status, "error"), pa.int64()),
+            "is_empty": pc.cast(pc.equal(status, "empty"), pa.int64()),
             # utf8_length takes large_string directly — the cast-to-string it
             # replaced copied every extracted byte per batch (and would hit
             # the 2 GiB int32-offset ceiling on huge blocks)
@@ -106,29 +103,23 @@ def _quality_partials(batch: pa.Table) -> pa.Table:
             "n_blocks": pc.cast(batch.column("n_blocks"), pa.int64()),
         }
     )
-    return tbl.group_by("host").aggregate(
-        [
-            ("is_ok", "sum"),
-            ("is_error", "sum"),
-            ("is_empty", "sum"),
-            ("n_chars", "sum"),
-            ("n_blocks", "sum"),
-            ("host", "count"),
-        ]
-    ).rename_columns(["host", "n_ok", "n_error", "n_empty", "sum_chars", "sum_blocks", "n_pages"])
 
 
 def quality_by_host(extracted_ds):
-    """groupby(host) extraction-quality stats with partial pre-aggregation
-    (reference analog: per-parser success/fail rollup, SURVEY.md §2.5)."""
-    from ray.data.aggregate import Sum
+    """Extraction-quality stats per host through ``combine`` (reference
+    analog: per-parser success/fail rollup, SURVEY.md §2.5)."""
+    from .buckets import combine
 
-    partials = extracted_ds.map_batches(_quality_partials, batch_format="pyarrow")
-    return partials.groupby("host").aggregate(
-        Sum("n_pages", alias_name="n_pages"),
-        Sum("n_ok", alias_name="n_ok"),
-        Sum("n_error", alias_name="n_error"),
-        Sum("n_empty", alias_name="n_empty"),
-        Sum("sum_chars", alias_name="sum_chars"),
-        Sum("sum_blocks", alias_name="sum_blocks"),
+    rows = extracted_ds.map_batches(_quality_partials, batch_format="pyarrow", zero_copy_batch=True)
+    return combine(
+        rows,
+        "host",
+        {
+            "n_pages": ("host", "count"),
+            "n_ok": ("is_ok", "sum"),
+            "n_error": ("is_error", "sum"),
+            "n_empty": ("is_empty", "sum"),
+            "sum_chars": ("n_chars", "sum"),
+            "sum_blocks": ("n_blocks", "sum"),
+        },
     )

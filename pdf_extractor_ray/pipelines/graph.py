@@ -15,7 +15,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .buckets import N_RANGE_BUCKETS, cogroup
+from .buckets import N_RANGE_BUCKETS, cogroup, combine
 from .relational import _read
 
 DAMPING = 0.85
@@ -426,12 +426,9 @@ def degree_distribution(sf_dir: str):
     """Degree histogram of the part co-occurrence graph: how many nodes have
     each degree. Scale shape: per-batch endpoint-count partials → one
     node-hash bucket merge (per-node degree finished vectorized inside the
-    bucket, emitting per-bucket (degree, n_nodes) partials) → the final
-    merge groups by DEGREE, whose cardinality is bounded by the max basket
+    bucket, emitting per-bucket (degree, n_nodes) partials) → ``combine``
+    merges by DEGREE, whose cardinality is bounded by the max basket
     fan-out, not the node count."""
-    from ray.data.aggregate import Sum
-
-
     edges = _part_cooccurrence_edges(sf_dir)
 
     def endpoint_partials(t: pa.Table) -> pa.Table:
@@ -449,11 +446,7 @@ def degree_distribution(sf_dir: str):
         endpoint_partials, batch_format="pyarrow", zero_copy_batch=True
     )
     hist = cogroup(parts, "node", degree_hist_in_bucket)
-    return (
-        hist.groupby("degree")
-        .aggregate(Sum("n_nodes", alias_name="n_nodes"))
-        .sort("degree")
-    )
+    return combine(hist, "degree", {"n_nodes": ("n_nodes", "sum")})
 
 
 def triangle_count(sf_dir: str, broadcast_nodes: int = 100_000):

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -150,26 +149,11 @@ def normalize_union(sf_dir: str):
 def normalize_problems(sf_dir: str):
     """Diverted problem rows rolled up by (source, reason) — the diagnostics
     audit the reference prints in --diagnostics mode (cli.py:115-172)."""
-    from ray.data.aggregate import Sum
+    from .buckets import combine
 
-    def partial(t: pa.Table) -> pa.Table:
-        bad = t.filter(pc.is_valid(t.column("problem_reason")))
-        tt = pa.table(
-            {
-                "source": bad.column("source"),
-                "problem_reason": bad.column("problem_reason"),
-                "one": pa.array(np.ones(bad.num_rows, dtype=np.int64)),
-            }
-        )
-        return (
-            tt.group_by(["source", "problem_reason"])
-            .aggregate([("one", "sum")])
-            .rename_columns(["source", "problem_reason", "n_rows"])
-        )
-
-    return (
-        _all_sources(sf_dir)
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["source", "problem_reason"])
-        .aggregate(Sum("n_rows", alias_name="n_rows"))
+    bad = _all_sources(sf_dir).map_batches(
+        lambda t: t.filter(pc.is_valid(t.column("problem_reason"))).select(["source", "problem_reason"]),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
     )
+    return combine(bad, ["source", "problem_reason"], {"n_rows": ("problem_reason", "count")})

@@ -31,7 +31,7 @@ from ..functions.quality import quality_features
 from ..functions.text import clean_description, keyword_filter_batch, standardize_column
 from ..functions.tokens import explode_tokens as explode_tokens_batch
 from ..functions.tokens import token_counts
-from .buckets import N_RANGE_BUCKETS, cogroup
+from .buckets import N_RANGE_BUCKETS, cogroup, combine, to_frame
 
 EXCLUDE_KEYWORDS = ["slow", "error"]  # PERSONAL_EXPENSES-style exclusion vocab
 INCLUDE_KEYWORDS = ["merge", "join"]
@@ -56,52 +56,35 @@ def _round4(tbl: pa.Table, cols: list[str]) -> pa.Table:
 
 
 # ---------------------------------------------------------------------------
-# aggregates (§2.5) — partial-aggregate inside map_batches, then small groupby
+# aggregates (§2.5) — per-row columns inside map_batches, merged by combine
 # ---------------------------------------------------------------------------
 
 def pricing_summary(sf_dir: str):
     """TPC-H-Q1-shaped rollup (per-source counts / amount rollups analog).
 
-    The per-batch combiner emits ≤|groups| rows per block, so the groupby
-    shuffle moves partials, not the fact table."""
-    from ray.data.aggregate import Sum
-
+    ``combine``'s per-batch partial emits ≤|groups| rows per block, so only
+    partials reach the merge, never the fact table."""
     ds = _read(
         sf_dir,
         "lineitem",
         ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount"],
     )
 
-    def partial(batch: pa.Table) -> pa.Table:
-        disc_price = pc.multiply(
-            batch.column("l_extendedprice"), pc.subtract(1.0, batch.column("l_discount"))
-        )
-        t = pa.table(
-            {
-                "l_returnflag": batch.column("l_returnflag"),
-                "l_linestatus": batch.column("l_linestatus"),
-                "qty": batch.column("l_quantity"),
-                "base": batch.column("l_extendedprice"),
-                "disc_price": disc_price,
-                "one": pa.array(np.ones(batch.num_rows, dtype=np.int64)),
-            }
-        )
-        g = t.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("qty", "sum"), ("base", "sum"), ("disc_price", "sum"), ("one", "sum")]
-        )
-        return g.rename_columns(
-            ["l_returnflag", "l_linestatus", "qty", "base", "disc_price", "n_rows"]
+    def disc(batch: pa.Table) -> pa.Table:
+        return batch.append_column(
+            "disc_price",
+            pc.multiply(batch.column("l_extendedprice"), pc.subtract(1.0, batch.column("l_discount"))),
         )
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("qty", alias_name="sum_qty"),
-            Sum("base", alias_name="sum_base"),
-            Sum("disc_price", alias_name="sum_disc_price"),
-            Sum("n_rows", alias_name="n_rows"),
-        )
+    agg = combine(
+        ds.map_batches(disc, batch_format="pyarrow", zero_copy_batch=True),
+        ["l_returnflag", "l_linestatus"],
+        {
+            "sum_qty": ("l_quantity", "sum"),
+            "sum_base": ("l_extendedprice", "sum"),
+            "sum_disc_price": ("disc_price", "sum"),
+            "n_rows": ("l_returnflag", "count"),
+        },
     )
     return agg.map_batches(
         lambda t: _round4(t, ["sum_qty", "sum_base", "sum_disc_price"]),
@@ -111,50 +94,29 @@ def pricing_summary(sf_dir: str):
 
 def counts_by_source(sf_dir: str):
     """documents value_counts + length stats (transaction_normalizer.py:351-352)."""
-    from ray.data.aggregate import Max, Min, Sum
-
     ds = _read(sf_dir, "documents", ["source", "n_chars"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = batch.append_column("one", pa.array(np.ones(batch.num_rows, dtype=np.int64)))
-        g = t.group_by("source").aggregate(
-            [("one", "sum"), ("n_chars", "sum"), ("n_chars", "min"), ("n_chars", "max")]
-        )
-        return g.rename_columns(["source", "n_docs", "sum_chars", "min_chars", "max_chars"])
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("source")
-        .aggregate(
-            Sum("n_docs", alias_name="n_docs"),
-            Sum("sum_chars", alias_name="sum_chars"),
-            Min("min_chars", alias_name="min_chars"),
-            Max("max_chars", alias_name="max_chars"),
-        )
+    return combine(
+        ds,
+        "source",
+        {
+            "n_docs": ("source", "count"),
+            "sum_chars": ("n_chars", "sum"),
+            "min_chars": ("n_chars", "min"),
+            "max_chars": ("n_chars", "max"),
+        },
     )
 
 
 def hash_bucket_counts(sf_dir: str):
     """Explicit hash-partitioning key distribution (the url-hash repartition
     analog, SQL-reproducible Knuth multiplicative hash)."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "orders", ["o_orderkey"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "bucket": hash_bucket(batch.column("o_orderkey"), 64),
-                "one": pa.array(np.ones(batch.num_rows, dtype=np.int64)),
-            }
-        )
-        return t.group_by("bucket").aggregate([("one", "sum")]).rename_columns(["bucket", "n_rows"])
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .aggregate(Sum("n_rows", alias_name="n_rows"))
+    buckets = ds.map_batches(
+        lambda t: pa.table({"bucket": pc.cast(hash_bucket(t.column("o_orderkey"), 64), pa.int64())}),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
     )
+    return combine(buckets, "bucket", {"n_rows": ("bucket", "count")})
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +280,9 @@ def validity_split_problems(sf_dir: str):
     41-65, 354-368): rows failing a predicate become (reason, count) — the
     problems side-table rollup. Valid predicate: value >= 5.0 and k <= 90;
     reason precedence: low_value first (CASE order in the oracle)."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "events", ["event_id", "value", "props"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def reasons(t: pa.Table) -> pa.Table:
         k = pc.cast(
             pc.struct_field(pc.extract_regex(t.column("props"), pattern=r'"k": (?P<g>\d+)'), "g"),
             pa.int64(),
@@ -334,15 +294,12 @@ def validity_split_problems(sf_dir: str):
             pa.scalar("low_value"),
             pc.if_else(bad_k, pa.scalar("k_out_of_range"), pa.scalar(None, pa.string())),
         )
-        tt = pa.table(
-            {"reason": reason, "one": pa.array(np.ones(t.num_rows, dtype=np.int64))}
-        ).filter(pc.is_valid(reason))
-        return tt.group_by("reason").aggregate([("one", "sum")]).rename_columns(["reason", "n_rows"])
+        return pa.table({"reason": reason}).filter(pc.is_valid(reason))
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("reason")
-        .aggregate(Sum("n_rows", alias_name="n_rows"))
+    return combine(
+        ds.map_batches(reasons, batch_format="pyarrow", zero_copy_batch=True),
+        "reason",
+        {"n_rows": ("reason", "count")},
     )
 
 
@@ -384,35 +341,17 @@ def sort_topk(sf_dir: str):
 def dedup_exact(sf_dir: str):
     """Exact dedup: content-hash grouping, deterministic representative
     (min doc_id) — normalize_api.py:21-33 semantics done relationally.
-    Shape (r3): per-batch combiner (min doc per sha inside the batch) →
-    sha-prefix bucket → bucket-level pandas min. The previous native
+    Shape (r3): min doc per sha by ``combine``. The previous native
     ``groupby(text_sha).aggregate(Min)`` had one Ray group per UNIQUE
     document — the per-group aggregate tax on a corpus-sized key space."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def add_hash(t: pa.Table) -> pa.Table:
-        tt = pa.table(
-            {
-                "doc_id": t.column("doc_id"),
-                "text_sha": pa.array(
-                    [sha256_hex(v) for v in t.column("text").to_pylist()], type=pa.string()
-                ),
-            }
-        )
-        p = (
-            tt.group_by("text_sha")
-            .aggregate([("doc_id", "min")])
-            .rename_columns(["text_sha", "doc_id"])
-        )
-        return p
+        shas = [sha256_hex(v) for v in t.column("text").to_pylist()]
+        return pa.table({"doc_id": t.column("doc_id"), "text_sha": pa.array(shas, type=pa.string())})
 
-    def merge_b(g: pd.DataFrame) -> pd.DataFrame:
-        return (
-            g.groupby("text_sha", sort=False, as_index=False)["doc_id"]
-            .min()[["text_sha", "doc_id"]]
-        )
-
-    return cogroup(ds.map_batches(add_hash, batch_format="pyarrow", zero_copy_batch=True), "text_sha", merge_b)
+    hashed = ds.map_batches(add_hash, batch_format="pyarrow", zero_copy_batch=True)
+    return combine(hashed, "text_sha", {"doc_id": ("doc_id", "min")})
 
 
 # ---------------------------------------------------------------------------
@@ -586,28 +525,17 @@ def explode_struct_items(sf_dir: str):
 
 
 def token_stats_by_lang(sf_dir: str):
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "documents", ["lang", "text"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        tt = pa.table(
-            {
-                "lang": t.column("lang"),
-                "n_tokens": pc.cast(token_counts(t.column("text")), pa.int64()),
-                "one": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-            }
-        )
-        return (
-            tt.group_by("lang")
-            .aggregate([("n_tokens", "sum"), ("one", "sum")])
-            .rename_columns(["lang", "sum_tokens", "n_docs"])
+    def n_tokens(t: pa.Table) -> pa.Table:
+        return pa.table(
+            {"lang": t.column("lang"), "n_tokens": pc.cast(token_counts(t.column("text")), pa.int64())}
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("lang")
-        .aggregate(Sum("sum_tokens", alias_name="sum_tokens"), Sum("n_docs", alias_name="n_docs"))
+    return combine(
+        ds.map_batches(n_tokens, batch_format="pyarrow", zero_copy_batch=True),
+        "lang",
+        {"sum_tokens": ("n_tokens", "sum"), "n_docs": ("n_tokens", "count")},
     )
 
 
@@ -626,30 +554,18 @@ def quality_score(sf_dir: str):
 # ---------------------------------------------------------------------------
 
 def tumbling_window_agg(sf_dir: str):
-    """Tumbling 1-hour windows per user: per-batch partial aggregation +
-    bucket-level merge; window label as ISO string (hash-stable)."""
+    """Tumbling 1-hour windows per user merged by ``combine``; window label
+    as ISO string (hash-stable)."""
     ds = _read(sf_dir, "events", ["user_id", "ts", "value"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        # int64 epoch key through the shuffle; ISO string rendered after
+    def window(t: pa.Table) -> pa.Table:
+        # int64 epoch key through the merge; ISO string rendered after
         # (same measured win as sliding_window_agg)
         ws = pc.cast(
             pc.cast(pc.floor_temporal(t.column("ts"), unit="hour"), pa.timestamp("s")),
             pa.int64(),
         )
-        tt = pa.table(
-            {
-                "user_id": t.column("user_id"),
-                "ws_epoch": ws,
-                "value": t.column("value"),
-                "one": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-            }
-        )
-        return (
-            tt.group_by(["user_id", "ws_epoch"])
-            .aggregate([("value", "sum"), ("one", "sum")])
-            .rename_columns(["user_id", "ws_epoch", "sum_value", "n_events"])
-        )
+        return pa.table({"user_id": t.column("user_id"), "ws_epoch": ws, "value": t.column("value")})
 
     def render(t: pa.Table) -> pa.Table:
         out = pa.table(
@@ -665,21 +581,14 @@ def tumbling_window_agg(sf_dir: str):
         )
         return _round4(out, ["sum_value"])
 
-    parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    agg = cogroup(parts, "user_id", _merge_window_partials_b)
-    return agg.map_batches(render, batch_format="pyarrow")
+    rows = ds.map_batches(window, batch_format="pyarrow", zero_copy_batch=True)
+    return combine(rows, ["user_id", "ws_epoch"], _WINDOW_AGGS).map_batches(render, batch_format="pyarrow")
 
 
-def _merge_window_partials_b(g: pd.DataFrame) -> pd.DataFrame:
-    """Bucket-level merge of (user, window) partial aggregates — replaces a
-    native two-key ``groupby.aggregate`` whose group count equals the OUTPUT
-    row count (the ~0.4 ms/group tax at sf0.1 window cardinalities). Float
-    re-accumulation order differs from the native path, which the shared
-    4-dp rounding convention absorbs (the per-batch combiner already made
-    accumulation order nondeterministic)."""
-    return g.groupby(["user_id", "ws_epoch"], sort=False, as_index=False).agg(
-        sum_value=("sum_value", "sum"), n_events=("n_events", "sum")
-    )
+#: per (user, window): summed value and event count. Float re-accumulation
+#: order differs between merge paths, which the shared 4-dp rounding of
+#: ``sum_value`` absorbs.
+_WINDOW_AGGS = {"sum_value": ("value", "sum"), "n_events": ("user_id", "count")}
 
 
 def date_parse_cascade(sf_dir: str):
@@ -760,48 +669,37 @@ def host_counts_salted(sf_dir: str, salt_buckets: int = 8):
     reduces per salted key, phase 2 merges the k partials per host. With the
     per-batch combiner this is belt-and-braces; it is the required shape when
     the aggregate can't pre-combine (e.g. exact distinct sets)."""
-    from ray.data.aggregate import Sum
-
     from .. import corpus as corpus_mod
 
     docs = _read(sf_dir, "documents", ["doc_id"])
 
-    def salted_partial(t: pa.Table) -> pa.Table:
+    def salted(t: pa.Table) -> pa.Table:
         ids = t.column("doc_id").to_numpy(zero_copy_only=False)
         hosts = corpus_mod.hosts_for_docs(ids)  # vectorized searchsorted bin
-        tt = pa.table(
+        return pa.table(
             {
                 "host": pa.array(hosts, type=pa.string()),
                 "salt": pa.array((ids % salt_buckets).astype(np.int32)),
-                "one": pa.array(np.ones(len(ids), dtype=np.int64)),
             }
         )
-        return (
-            tt.group_by(["host", "salt"])
-            .aggregate([("one", "sum")])
-            .rename_columns(["host", "salt", "n"])
-        )
 
-    phase1 = (
-        docs.map_batches(salted_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["host", "salt"])
-        .aggregate(Sum("n", alias_name="n"))
+    phase1 = combine(
+        docs.map_batches(salted, batch_format="pyarrow", zero_copy_batch=True),
+        ["host", "salt"],
+        {"n": ("host", "count")},
     )
-    return (
-        phase1.groupby("host")
-        .aggregate(Sum("n", alias_name="n_pages"))
-    )
+    return combine(phase1, "host", {"n_pages": ("n", "sum")})
 
 
 def sliding_window_agg(sf_dir: str):
     """Sliding 2-hour windows advancing by 1 hour: each event is expanded to
     the two windows covering it inside map_batches (flat-map semantics), then
-    the usual partial-agg + bucket-level merge. No event-time machinery
-    needed — the expansion is a pure batch transform."""
+    ``combine``. No event-time machinery needed — the expansion is a pure
+    batch transform."""
     ds = _read(sf_dir, "events", ["user_id", "ts", "value"])
 
-    def expand_partial(t: pa.Table) -> pa.Table:
-        # shuffle on the INT key (epoch seconds), not the ISO string —
+    def expand(t: pa.Table) -> pa.Table:
+        # merge on the INT key (epoch seconds), not the ISO string —
         # sort-based aggregation over int64 keys measured ~1.5× faster than
         # string keys at sf0.1; the string renders once post-aggregate
         floored = pc.cast(
@@ -816,16 +714,10 @@ def sliding_window_agg(sf_dir: str):
                         "user_id": t.column("user_id"),
                         "ws_epoch": pc.subtract(floored, pa.scalar(k * 3600, pa.int64())),
                         "value": t.column("value"),
-                        "one": pa.array(np.ones(t.num_rows, dtype=np.int64)),
                     }
                 )
             )
-        tt = pa.concat_tables(parts)
-        return (
-            tt.group_by(["user_id", "ws_epoch"])
-            .aggregate([("value", "sum"), ("one", "sum")])
-            .rename_columns(["user_id", "ws_epoch", "sum_value", "n_events"])
-        )
+        return pa.concat_tables(parts)
 
     def render(t: pa.Table) -> pa.Table:
         ws = pc.strftime(
@@ -841,9 +733,8 @@ def sliding_window_agg(sf_dir: str):
         )
         return _round4(out, ["sum_value"])
 
-    parts = ds.map_batches(expand_partial, batch_format="pyarrow", zero_copy_batch=True)
-    agg = cogroup(parts, "user_id", _merge_window_partials_b)
-    return agg.map_batches(render, batch_format="pyarrow")
+    rows = ds.map_batches(expand, batch_format="pyarrow", zero_copy_batch=True)
+    return combine(rows, ["user_id", "ws_epoch"], _WINDOW_AGGS).map_batches(render, batch_format="pyarrow")
 
 
 def topk_per_group(sf_dir: str, k: int = 2):
@@ -860,11 +751,9 @@ def topk_per_group(sf_dir: str, k: int = 2):
 
 
 def distinct_pairs(sf_dir: str):
-    """ds.unique analog over a column pair (§2.7): distinct via groupby."""
+    """ds.unique analog over a column pair (§2.7): distinct via ``combine``."""
     ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_linestatus"])
-    return (
-        ds.groupby(["l_returnflag", "l_linestatus"]).count().drop_columns(["count()"])
-    )
+    return combine(ds, ["l_returnflag", "l_linestatus"], {})
 
 
 def distinct_count_by_group(sf_dir: str):
@@ -872,11 +761,9 @@ def distinct_count_by_group(sf_dir: str):
     batch emits its distinct (source, n_chars) pairs, co-grouped on
     ``n_chars`` (a pair's bucket is a function of the pair, so pairs
     partition disjointly and per-bucket distinct counts add up exactly);
-    the bucket merge dedups vectorized and the final groupby sees only the
-    small per-(bucket, source) partials. The previous two-level native
-    groupby paid the ~0.4 ms/group tax once per DISTINCT PAIR (r3)."""
-    from ray.data.aggregate import Sum
-
+    the bucket merge dedups vectorized and ``combine`` sums the small
+    per-(bucket, source) partials. The previous two-level native groupby
+    paid the ~0.4 ms/group tax once per DISTINCT PAIR (r3)."""
     ds = _read(sf_dir, "documents", ["source", "n_chars"])
 
     def pair_partial(t: pa.Table) -> pa.Table:
@@ -892,11 +779,8 @@ def distinct_count_by_group(sf_dir: str):
             {"source": s.index, "n_distinct_chars": s.to_numpy(dtype=np.int64)}
         )
 
-    return (
-        cogroup(ds.map_batches(pair_partial, batch_format="pyarrow", zero_copy_batch=True), "n_chars", merge)
-        .groupby("source")
-        .aggregate(Sum(on="n_distinct_chars", alias_name="n_distinct_chars"))
-    )
+    per_bucket = cogroup(ds.map_batches(pair_partial, batch_format="pyarrow", zero_copy_batch=True), "n_chars", merge)
+    return combine(per_bucket, "source", {"n_distinct_chars": ("n_distinct_chars", "sum")})
 
 
 def mean_std_agg(sf_dir: str):
@@ -1005,33 +889,11 @@ def quality_filter_rules(sf_dir: str):
 
 def part_brand_stats(sf_dir: str):
     """Catalog rollup over the part table (per-source stats family)."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "part", ["p_brand", "p_retailprice", "p_size"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        tt = pa.table(
-            {
-                "p_brand": t.column("p_brand"),
-                "price": t.column("p_retailprice"),
-                "size": pc.cast(t.column("p_size"), pa.int64()),
-                "one": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-            }
-        )
-        return (
-            tt.group_by("p_brand")
-            .aggregate([("one", "sum"), ("price", "sum"), ("size", "sum")])
-            .rename_columns(["p_brand", "n_parts", "sum_price", "sum_size"])
-        )
-
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("p_brand")
-        .aggregate(
-            Sum("n_parts", alias_name="n_parts"),
-            Sum("sum_price", alias_name="sum_price"),
-            Sum("sum_size", alias_name="sum_size"),
-        )
+    agg = combine(
+        ds,
+        "p_brand",
+        {"n_parts": ("p_brand", "count"), "sum_price": ("p_retailprice", "sum"), "sum_size": ("p_size", "sum")},
     )
     return agg.map_batches(lambda t: _round4(t, ["sum_price"]), batch_format="pyarrow")
 
@@ -1144,37 +1006,29 @@ def rank_in_group(sf_dir: str):
 
 def corr_by_group(sf_dir: str):
     """Pearson correlation per group via MERGEABLE MOMENTS: each batch emits
-    partial (n, Σx, Σy, Σxy, Σx², Σy²) per key; one small groupby merges and
+    partial (n, Σx, Σy, Σxy, Σx², Σy²) per key; ``combine`` merges and
     the closed form finishes — the pattern for any algebraic statistic at
     scale (no per-group row collection)."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_quantity", "l_extendedprice"])
 
     def moments(t: pa.Table) -> pa.Table:
         x = t.column("l_quantity")
         y = t.column("l_extendedprice")
-        tt = pa.table(
+        return pa.table(
             {
                 "l_returnflag": t.column("l_returnflag"),
-                "n": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-                "sx": x,
-                "sy": y,
-                "sxy": pc.multiply(x, y),
-                "sxx": pc.multiply(x, x),
-                "syy": pc.multiply(y, y),
+                "x": x,
+                "y": y,
+                "xy": pc.multiply(x, y),
+                "xx": pc.multiply(x, x),
+                "yy": pc.multiply(y, y),
             }
         )
-        return (
-            tt.group_by("l_returnflag")
-            .aggregate([(c, "sum") for c in ("n", "sx", "sy", "sxy", "sxx", "syy")])
-            .rename_columns(["l_returnflag", "n", "sx", "sy", "sxy", "sxx", "syy"])
-        )
 
-    agg = (
-        ds.map_batches(moments, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("l_returnflag")
-        .aggregate(*[Sum(c, alias_name=c) for c in ("n", "sx", "sy", "sxy", "sxx", "syy")])
+    agg = combine(
+        ds.map_batches(moments, batch_format="pyarrow", zero_copy_batch=True),
+        "l_returnflag",
+        {"n": ("x", "count"), **{f"s{c}": (c, "sum") for c in ("x", "y", "xy", "xx", "yy")}},
     )
 
     def finish(t: pa.Table) -> pa.Table:
@@ -1547,31 +1401,21 @@ def range_join_campaigns(sf_dir: str):
 
 def pivot_event_counts(sf_dir: str):
     """PIVOT (long → wide counts): per user, one column per event type.
-    Per-batch partial pivot (pa.Table.group_by + conditional casts), merged
-    by a bucket-level pandas groupby-sum (r3: the previous native
-    ``groupby(user).aggregate(5×Sum)`` paid the per-user-group aggregate
-    tax). The combiner-before-shuffle rule still holds: a hot user
-    contributes one partial row per block."""
+    Conditional casts per row, summed per user by ``combine`` (r3: the
+    previous native ``groupby(user).aggregate(5×Sum)`` paid the
+    per-user-group aggregate tax). A hot user contributes one partial row
+    per block."""
     types = ["click", "error", "purchase", "signup", "view"]
-    ncols = [f"n_{ty}" for ty in types]
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def indicators(t: pa.Table) -> pa.Table:
         cols = {"user_id": t.column("user_id")}
         for ty in types:
             cols[f"n_{ty}"] = pc.cast(pc.equal(t.column("event_type"), ty), pa.int64())
-        return (
-            pa.table(cols)
-            .group_by("user_id")
-            .aggregate([(f"n_{ty}", "sum") for ty in types])
-            .rename_columns(["user_id"] + ncols)
-        )
+        return pa.table(cols)
 
-    def merge_b(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby("user_id", sort=False, as_index=False)[ncols].sum()
-
-    parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    return cogroup(parts, "user_id", merge_b)
+    rows = ds.map_batches(indicators, batch_format="pyarrow", zero_copy_batch=True)
+    return combine(rows, "user_id", {f"n_{ty}": (f"n_{ty}", "sum") for ty in types})
 
 
 def session_windows(sf_dir: str, gap_minutes: int = 30):
@@ -1635,15 +1479,9 @@ def approx_quantile_hist(sf_dir: str, qs=(0.5, 0.9, 0.99), n_bins: int = 4096):
             }
         )
 
-    def merge_bins(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.groupby("bin_id", sort=False)["n"].sum()
-        return pd.DataFrame({"bin_id": m.index.to_numpy(), "n": m.to_numpy()})
-
-    hist = (
-        cogroup(ds.map_batches(hist_partial, batch_format="pyarrow", zero_copy_batch=True), "bin_id", merge_bins)
-        .to_pandas()  # ≤ n_bins scalars — the only thing the driver sees
-        .sort_values("bin_id")
-    )
+    # ≤ n_bins scalars — the only thing the driver sees
+    bins = ds.map_batches(hist_partial, batch_format="pyarrow", zero_copy_batch=True)
+    hist = to_frame(combine(bins, "bin_id", {"n": ("n", "sum")})).sort_values("bin_id")
     cdf = np.cumsum(hist["n"].to_numpy())
     total = int(cdf[-1])
     rows = []
@@ -1704,35 +1542,11 @@ def ntile_by_group(sf_dir: str, n: int = 4):
 def rollup_counts(sf_dir: str):
     """GROUP BY ROLLUP(status, priority): all three granularities — (s, p),
     (s, NULL), (NULL, NULL) — from ONE pass. The finest aggregate is the
-    only thing computed from data (per-batch partials → one tiny grouped
-    merge over ≤|s|×|p| keys); the coarser levels are derived from the
-    UNROUNDED finest sums driver-side (15 rows), summed in sorted key order
-    so float reduction is deterministic; every level rounds once at the
-    end."""
-    ds = _read(sf_dir, "orders", ["o_orderstatus", "o_orderpriority", "o_totalprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by(["o_orderstatus", "o_orderpriority"]).aggregate(
-            [("o_totalprice", "sum"), ([], "count_all")]
-        )
-        # select by NAME — pyarrow puts aggregate columns before the keys
-        return pa.table(
-            {
-                "o_orderstatus": g.column("o_orderstatus"),
-                "o_orderpriority": g.column("o_orderpriority"),
-                "psum": g.column("o_totalprice_sum"),
-                "pn": pc.cast(g.column("count_all"), pa.int64()),
-            }
-        )
-
-    fine = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["o_orderstatus", "o_orderpriority"])
-        .sum(["psum", "pn"])
-        .to_pandas()
-        .rename(columns={"sum(psum)": "psum", "sum(pn)": "pn"})
-        .sort_values(["o_orderstatus", "o_orderpriority"], kind="stable")
-    )
+    only thing computed from data (``_status_priority_fine``); the coarser
+    levels are derived from the UNROUNDED finest sums driver-side (15
+    rows), summed in sorted key order so float reduction is deterministic;
+    every level rounds once at the end."""
+    fine = _status_priority_fine(sf_dir)
     lvl2 = pd.DataFrame(
         {
             "o_orderstatus": fine["o_orderstatus"],
@@ -1932,8 +1746,7 @@ def funnel_conversion(sf_dir: str, steps=("view", "click", "purchase")):
     nor purchase); one user-hash bucket shuffle co-locates each user's
     funnel events (``cogroup``); inside the bucket the step chain
     is |steps| vectorized merge+groupby-min rounds over ALL users at once;
-    each bucket emits |steps| count partials and a |steps|-key grouped sum
-    finishes."""
+    each bucket emits |steps| count partials and ``combine`` sums them."""
     import pandas as pd
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
@@ -1965,19 +1778,14 @@ def funnel_conversion(sf_dir: str, steps=("view", "click", "purchase")):
         per_bucket,
         sort_by=["user_id", "ts"],
     )
-    totals = partials.groupby("step_idx").sum("n")
+    totals = combine(partials, "step_idx", {"n_users": ("n", "sum")})
 
     labels = [">".join(steps[: i + 1]) for i in range(len(steps))]
 
     def render(t: pa.Table) -> pa.Table:
         idx = t.column("step_idx").to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
-            {
-                "step": pa.array([labels[i] for i in idx], pa.string()),
-                "n_users": pa.array(
-                    t.column("sum(n)").to_numpy(zero_copy_only=False).astype(np.int64)
-                ),
-            }
+            {"step": pa.array([labels[i] for i in idx], pa.string()), "n_users": t.column("n_users")}
         )
 
     return totals.map_batches(render, batch_format="pyarrow", zero_copy_batch=True)
@@ -1998,8 +1806,8 @@ def retention_cohorts(sf_dir: str):
     BEFORE the shuffle (per-user activity is heavily repeated within a
     week); one user-hash bucket shuffle co-locates a user's distinct weeks;
     within the bucket cohort = transform('min') and the cell partials are a
-    vectorized groupby count; a final grouped sum over the tiny
-    (cohort × offset) key space finishes."""
+    vectorized groupby count; ``combine`` sums them over the tiny
+    (cohort × offset) key space."""
     import pandas as pd
 
     ds = _read(sf_dir, "events", ["user_id", "ts"])
@@ -2040,20 +1848,7 @@ def retention_cohorts(sf_dir: str):
         "user_id",
         per_bucket,
     )
-    totals = partials.groupby(["cohort_week", "week_offset"]).sum("n")
-
-    def render(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "cohort_week": t.column("cohort_week"),
-                "week_offset": t.column("week_offset"),
-                "n_users": pa.array(
-                    t.column("sum(n)").to_numpy(zero_copy_only=False).astype(np.int64)
-                ),
-            }
-        )
-
-    return totals.map_batches(render, batch_format="pyarrow", zero_copy_batch=True)
+    return combine(partials, ["cohort_week", "week_offset"], {"n_users": ("n", "sum")})
 
 
 def event_time_join(sf_dir: str, window_s: int = 86400):
@@ -2118,7 +1913,7 @@ def moment_stats_by_group(sf_dir: str):
     """Higher-moment statistics per group — skewness, excess kurtosis,
     sample covariance and regression slope — via MERGEABLE RAW POWER SUMS:
     each batch emits one partial row per key (n, Σx..Σx⁴, Σd, Σxd, Σp, Σxp),
-    a small groupby merges, and the closed forms finish driver-side-free.
+    ``combine`` merges them, and the closed forms finish driver-side-free.
     Same algebraic-statistic shape as ``corr_by_group``; the whole value
     column never shuffles. Formulas match DuckDB's bias-corrected
     ``skewness``/``kurtosis`` (adjusted Fisher–Pearson G1; sample excess G2)
@@ -2129,44 +1924,35 @@ def moment_stats_by_group(sf_dir: str):
     representable in doubles at any realistic group size; never feed raw
     power sums a column with 1e5-magnitude values (center first instead).
     """
-    from ray.data.aggregate import Sum
-
     ds = _read(
         sf_dir,
         "lineitem",
         ["l_returnflag", "l_quantity", "l_discount", "l_extendedprice"],
     )
-    SUMS = ("n", "sx", "sx2", "sx3", "sx4", "sd", "sxd", "sp", "sxp")
 
-    def partial(t: pa.Table) -> pa.Table:
+    def powers(t: pa.Table) -> pa.Table:
         x = t.column("l_quantity")
         d = t.column("l_discount")
         p = t.column("l_extendedprice")
         x2 = pc.multiply(x, x)
-        tt = pa.table(
+        return pa.table(
             {
                 "l_returnflag": t.column("l_returnflag"),
-                "n": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-                "sx": x,
-                "sx2": x2,
-                "sx3": pc.multiply(x2, x),
-                "sx4": pc.multiply(x2, x2),
-                "sd": d,
-                "sxd": pc.multiply(x, d),
-                "sp": p,
-                "sxp": pc.multiply(x, p),
+                "x": x,
+                "x2": x2,
+                "x3": pc.multiply(x2, x),
+                "x4": pc.multiply(x2, x2),
+                "d": d,
+                "xd": pc.multiply(x, d),
+                "p": p,
+                "xp": pc.multiply(x, p),
             }
         )
-        return (
-            tt.group_by("l_returnflag")
-            .aggregate([(c, "sum") for c in SUMS])
-            .rename_columns(["l_returnflag", *SUMS])
-        )
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("l_returnflag")
-        .aggregate(*[Sum(c, alias_name=c) for c in SUMS])
+    agg = combine(
+        ds.map_batches(powers, batch_format="pyarrow", zero_copy_batch=True),
+        "l_returnflag",
+        {"n": ("x", "count"), **{f"s{c}": (c, "sum") for c in ("x", "x2", "x3", "x4", "d", "xd", "p", "xp")}},
     )
 
     def finish(t: pa.Table) -> pa.Table:
@@ -2207,23 +1993,8 @@ def entropy_by_group(sf_dir: str):
     merged count table is #sources × #langs (dimension-sized), and the
     entropy finish runs vectorized on that tiny table in one final batch —
     the full text/lang column never shuffles."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "documents", ["source", "lang"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        return (
-            t.append_column("n", pa.array(np.ones(t.num_rows, dtype=np.int64)))
-            .group_by(["source", "lang"])
-            .aggregate([("n", "sum")])
-            .rename_columns(["source", "lang", "n"])
-        )
-
-    counts = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["source", "lang"])
-        .aggregate(Sum("n", alias_name="n"))
-    )
+    counts = combine(ds, ["source", "lang"], {"n": ("source", "count")})
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         # dimension-sized table (sources × langs): single-batch vectorized
@@ -2499,10 +2270,8 @@ def event_transition_matrix(sf_dir: str):
     (ts, event_id) within the user — the deterministic LAG convention),
     count occurrences globally. Scale shape: one user-hash bucket shuffle;
     inside the bucket the lag pairing is a vectorized shift masked on user
-    boundaries, reduced to per-bucket (from, to) partials; the final merge
-    groups by the |types|² transition key — fixed cardinality."""
-    from ray.data.aggregate import Sum
-
+    boundaries, reduced to per-bucket (from, to) partials; ``combine``
+    merges them over the |types|² transition key — fixed cardinality."""
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
     def prep(t: pa.Table) -> pa.Table:
@@ -2538,7 +2307,7 @@ def event_transition_matrix(sf_dir: str):
         transitions,
         sort_by=["user_id", "t_us", "event_id"],
     )
-    return parts.groupby(["from_type", "to_type"]).aggregate(Sum("n", alias_name="n"))
+    return combine(parts, ["from_type", "to_type"], {"n": ("n", "sum")})
 
 
 def approx_distinct_tokens_by_source(sf_dir: str, p: int = 12):
@@ -2672,26 +2441,12 @@ def _status_priority_fine(sf_dir: str) -> "pd.DataFrame":
     CUBE / GROUPING SETS family: per-batch partials → tiny |s|×|p| merge,
     returned sorted so driver-side level derivation is order-stable."""
     ds = _read(sf_dir, "orders", ["o_orderstatus", "o_orderpriority", "o_totalprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by(["o_orderstatus", "o_orderpriority"]).aggregate(
-            [("o_totalprice", "sum"), ([], "count_all")]
-        )
-        return pa.table(
-            {
-                "o_orderstatus": g.column("o_orderstatus"),
-                "o_orderpriority": g.column("o_orderpriority"),
-                "psum": g.column("o_totalprice_sum"),
-                "pn": pc.cast(g.column("count_all"), pa.int64()),
-            }
-        )
-
     return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["o_orderstatus", "o_orderpriority"])
-        .sum(["psum", "pn"])
-        .to_pandas()
-        .rename(columns={"sum(psum)": "psum", "sum(pn)": "pn"})
+        to_frame(combine(
+            ds,
+            ["o_orderstatus", "o_orderpriority"],
+            {"psum": ("o_totalprice", "sum"), "pn": ("o_orderstatus", "count")},
+        ))
         .sort_values(["o_orderstatus", "o_orderpriority"], kind="stable")
     )
 
@@ -3048,6 +2803,13 @@ def interval_islands(sf_dir: str, gap_s: int = 300):
     return cogroup(ds, "user_id", islands, sort_by=["user_id", "ts", "event_id"])
 
 
+def _range_bucket_counts(bucketed) -> np.ndarray:
+    """Rows per range bucket ``0..N_RANGE_BUCKETS-1`` of a Dataset with a
+    ``_bucket`` column, counted by ``combine``."""
+    c = to_frame(combine(bucketed, "_bucket", {"n": ("_bucket", "count")}))
+    return c.set_index("_bucket")["n"].reindex(range(N_RANGE_BUCKETS), fill_value=0).to_numpy()
+
+
 def global_row_number(sf_dir: str):
     """Global ROW_NUMBER over the whole table (orders by totalprice DESC,
     orderkey ASC) — distributed ranking WITHOUT materializing a global
@@ -3088,22 +2850,7 @@ def global_row_number(sf_dir: str):
         add_bucket, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()
 
-    def count_partial(t: pa.Table) -> pa.Table:
-        b = t.column("_bucket").to_numpy(zero_copy_only=False)
-        c = np.bincount(b, minlength=N_RANGE_BUCKETS)
-        return pa.table(
-            {
-                "_bucket": pa.array(np.arange(N_RANGE_BUCKETS, dtype=np.int64)),
-                "n": pa.array(c.astype(np.int64)),
-            }
-        )
-
-    parts = bucketed.map_batches(
-        count_partial, batch_format="pyarrow", zero_copy_batch=True
-    ).to_pandas()
-    counts = (
-        parts.groupby("_bucket")["n"].sum().reindex(range(N_RANGE_BUCKETS), fill_value=0).to_numpy()
-    )
+    counts = _range_bucket_counts(bucketed)
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
 
     def rank_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -3603,29 +3350,19 @@ def benford_first_digit(sf_dir: str):
     """First-significant-digit distribution of order totals (the Benford
     data-quality audit — fabricated or truncated financial data skews it).
     Digit extraction is INTEGER arithmetic (floor → repeated div-10): log10/
-    pow would be off the oracle-safe list (NOTES float rules). Per-batch
-    bincount partials; nine rows total."""
+    pow would be off the oracle-safe list (NOTES float rules). Counted by
+    ``combine``; nine rows at most."""
     ds = _read(sf_dir, "orders", ["o_totalprice"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def first_digit(t: pa.Table) -> pa.Table:
         v = np.floor(t.column("o_totalprice").to_numpy(zero_copy_only=False)).astype(np.int64)
         v = v[v > 0]
         while (v >= 10).any():
             v = np.where(v >= 10, v // 10, v)
-        c = np.bincount(v, minlength=10)[1:10]
-        return pa.table(
-            {
-                "digit": pa.array(np.arange(1, 10, dtype=np.int64)),
-                "n": pa.array(c.astype(np.int64)),
-            }
-        )
+        return pa.table({"digit": pa.array(v, pa.int64())})
 
-    parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True).to_pandas()
-    out = parts.groupby("digit", sort=True)["n"].sum().reset_index()
-    out = out[out["n"] > 0].reset_index(drop=True)
-    out["digit"] = out["digit"].astype(np.int64)
-    out["n"] = out["n"].astype(np.int64)
-    return out
+    digits = ds.map_batches(first_digit, batch_format="pyarrow", zero_copy_batch=True)
+    return to_frame(combine(digits, "digit", {"n": ("digit", "count")}))
 
 
 def winsorized_mean_by_group(sf_dir: str, q_lo=(1, 10), q_hi=(9, 10)):
@@ -3701,33 +3438,28 @@ def chi2_independence(sf_dir: str):
     """Chi-square independence audit between event type and a user cohort
     (the data-quality test for "is this categorical pair actually
     independent" — drift/leak detection in event streams). Exact integer
-    contingency counts via per-batch partials; the χ² statistic is computed
+    contingency counts via ``combine``; the χ² statistic is computed
     from the driver-sized contingency table (cells = |types|·|cohorts|) and
     rounded 4dp on both sides (cross-row float sum order differs between
     engines)."""
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        tt = pa.table(
+    def cohort(t: pa.Table) -> pa.Table:
+        return pa.table(
             {
                 "event_type": t.column("event_type"),
                 "cohort": pa.array(
                     t.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64) % 4
                 ),
-                "o": pa.array(np.ones(t.num_rows, dtype=np.int64)),
             }
-        )
-        return (
-            tt.group_by(["event_type", "cohort"])
-            .aggregate([("o", "sum")])
-            .rename_columns(["event_type", "cohort", "o"])
         )
 
     c = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .to_pandas()
-        .groupby(["event_type", "cohort"], as_index=False)["o"]
-        .sum()
+        to_frame(combine(
+            ds.map_batches(cohort, batch_format="pyarrow", zero_copy_batch=True),
+            ["event_type", "cohort"],
+            {"o": ("cohort", "count")},
+        ))
         .sort_values(["event_type", "cohort"])
     )
     o = c["o"].to_numpy(dtype=np.float64)
@@ -3973,32 +3705,23 @@ def decayed_count_by_type(sf_dir: str):
     a cross-row float SUM (NOTES float rules: the generic float SUM is off
     the oracle path; a bounded dyadic grid is the exception that isn't).
 
-    Scale shape: per-batch (type, Σw, n) partials — 5 rows per block — and
-    a driver-sized exact merge; nothing shuffles."""
+    Scale shape: ``combine``'s (type, Σw, n) partials — 5 rows per block —
+    and a driver-sized exact merge."""
     REF_US = 1_706_745_600_000_000  # 2024-02-01 00:00:00 UTC
     DAY_US = 86_400_000_000
     ds = _read(sf_dir, "events", ["event_type", "ts"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def weight(t: pa.Table) -> pa.Table:
         ts = t.column("ts").cast(pa.timestamp("us")).to_numpy(zero_copy_only=False)
         age = np.clip((REF_US - ts.astype(np.int64)) // DAY_US, 0, 31)
         w = np.ldexp(1.0, -age)  # exact dyadic weights
-        df = pd.DataFrame({"event_type": t.column("event_type").to_pylist(), "w": w})
-        a = df.groupby("event_type", sort=False)["w"].agg(s="sum", n="size").reset_index()
-        return pa.table(
-            {
-                "event_type": pa.array(a["event_type"], pa.string()),
-                "s": pa.array(a["s"].to_numpy()),
-                "n": pa.array(a["n"].to_numpy(dtype=np.int64)),
-            }
-        )
+        return pa.table({"event_type": t.column("event_type"), "w": pa.array(w)})
 
-    parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True).to_pandas()
-    out = parts.groupby("event_type", sort=True).agg(
-        decayed_count=("s", "sum"), n=("n", "sum")
-    ).reset_index()
-    out["n"] = out["n"].astype(np.int64)
-    return out
+    return to_frame(combine(
+        ds.map_batches(weight, batch_format="pyarrow", zero_copy_batch=True),
+        "event_type",
+        {"decayed_count": ("w", "sum"), "n": ("w", "count")},
+    ))
 
 
 def word_len_stats_by_source(sf_dir: str):
@@ -4012,30 +3735,28 @@ def word_len_stats_by_source(sf_dir: str):
     CLAUDE.md rounding rule)."""
     ds = _read(sf_dir, "documents", ["source", "text"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def word_bytes(t: pa.Table) -> pa.Table:
         txt = t.column("text")
         nsp = pc.count_substring(txt, " ").to_numpy(zero_copy_only=False).astype(np.int64)
         nb = pc.binary_length(txt).to_numpy(zero_copy_only=False).astype(np.int64)
-        tt = pa.table(
+        return pa.table(
             {
                 "source": t.column("source"),
                 "nw": pa.array(nsp + 1),
                 "nc": pa.array(nb - nsp),  # word bytes = total − separators
             }
         )
-        return (
-            tt.group_by("source")
-            .aggregate([("nw", "sum"), ("nc", "sum")])
-            .rename_columns(["source", "nw", "nc"])
-        )
 
-    parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True).to_pandas()
-    a = parts.groupby("source", sort=True)[["nw", "nc"]].sum().reset_index()
+    a = to_frame(combine(
+        ds.map_batches(word_bytes, batch_format="pyarrow", zero_copy_batch=True),
+        "source",
+        {"nw": ("nw", "sum"), "nc": ("nc", "sum")},
+    ))
     ratio = a["nc"].to_numpy(dtype=np.float64) / a["nw"].to_numpy(dtype=np.float64)
     return pd.DataFrame(
         {
             "source": a["source"],
-            "n_words": a["nw"].astype(np.int64),
+            "n_words": a["nw"],
             "avg_word_len": np.floor(ratio * 1e4 + 0.5) / 1e4,
         }
     )
@@ -4087,10 +3808,7 @@ def exact_distinct_tokens_by_source(sf_dir: str):
 
     pairs = ds.map_batches(pair_partial, batch_format="pyarrow", zero_copy_batch=True)
     parts = cogroup(pairs, "token", count_in_bucket)
-    out = parts.to_pandas().groupby("source", sort=True)["n"].sum().reset_index()
-    out = out.rename(columns={"n": "n_distinct_tokens"})
-    out["n_distinct_tokens"] = out["n_distinct_tokens"].astype(np.int64)
-    return out
+    return to_frame(combine(parts, "source", {"n_distinct_tokens": ("n", "sum")}))
 
 
 def rolling_extremes_per_user(sf_dir: str, window: int = 3):
@@ -4123,27 +3841,21 @@ def revenue_share_by_priority(sf_dir: str):
     decimal ties — CLAUDE.md rounding rule)."""
     ds = _read(sf_dir, "orders", ["o_orderpriority", "o_totalprice"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        cents = np.round(
-            t.column("o_totalprice").to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        df = pd.DataFrame({"k": t.column("o_orderpriority").to_pylist(), "c": cents})
-        a = df.groupby("k", sort=False)["c"].sum().reset_index()
-        return pa.table(
-            {
-                "o_orderpriority": pa.array(a["k"], pa.string()),
-                "c": pa.array(a["c"].to_numpy(dtype=np.int64)),
-            }
-        )
+    def cents(t: pa.Table) -> pa.Table:
+        c = np.round(t.column("o_totalprice").to_numpy(zero_copy_only=False) * 100.0).astype(np.int64)
+        return pa.table({"o_orderpriority": t.column("o_orderpriority"), "c": pa.array(c)})
 
-    parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True).to_pandas()
-    a = parts.groupby("o_orderpriority", sort=True)["c"].sum().reset_index()
+    a = to_frame(combine(
+        ds.map_batches(cents, batch_format="pyarrow", zero_copy_batch=True),
+        "o_orderpriority",
+        {"c": ("c", "sum")},
+    ))
     total = float(a["c"].sum())
     share = a["c"].to_numpy(dtype=np.float64) / total
     return pd.DataFrame(
         {
             "o_orderpriority": a["o_orderpriority"],
-            "revenue_cents": a["c"].astype(np.int64),
+            "revenue_cents": a["c"],
             "share": np.floor(share * 1e6 + 0.5) / 1e6,
         }
     )
@@ -4159,59 +3871,32 @@ def burst_detection_windows(sf_dir: str):
     parenthesization on both engines; var clamps at 0 on both sides so a
     rounding-negative variance can't diverge through sqrt.
 
-    Scale shape: per-batch (type, minute, n) count partials → ONE
-    minute-hash bucket merge (windows table, minute-cardinality-sized,
-    materialized); per-type (Σc, Σc², n) integer partials finish on the
-    driver (|types| rows); thresholds broadcast into a vectorized filter."""
+    Scale shape: (type, minute) counts by ``combine`` (windows table,
+    minute-cardinality-sized, materialized); per-type (Σc, Σc², n) integer
+    sums by a second ``combine`` (|types| rows); thresholds broadcast into
+    a vectorized filter."""
     ds = _read(sf_dir, "events", ["event_type", "ts"])
     MIN_US = 60_000_000
 
-    def partial(t: pa.Table) -> pa.Table:
+    def minute(t: pa.Table) -> pa.Table:
         ts = t.column("ts").cast(pa.timestamp("us")).to_numpy(zero_copy_only=False)
-        wm = ts.astype(np.int64) // MIN_US
-        df = pd.DataFrame({"event_type": t.column("event_type").to_pylist(), "wm": wm})
-        a = df.groupby(["event_type", "wm"], sort=False).size().reset_index(name="n")
-        return pa.table(
-            {
-                "event_type": pa.array(a["event_type"], pa.string()),
-                "wm": pa.array(a["wm"].to_numpy(dtype=np.int64)),
-                "n": pa.array(a["n"].to_numpy(dtype=np.int64)),
-            }
-        )
+        return pa.table({"event_type": t.column("event_type"), "wm": pa.array(ts.astype(np.int64) // MIN_US)})
 
-    def merge_w(g: pd.DataFrame) -> pd.DataFrame:
-        a = g.groupby(["event_type", "wm"], sort=False)["n"].sum().reset_index()
-        a["n"] = a["n"].astype(np.int64)
-        return a
+    rows = ds.map_batches(minute, batch_format="pyarrow", zero_copy_batch=True)
+    windows = combine(rows, ["event_type", "wm"], {"n": ("wm", "count")}).materialize()
 
-    parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    windows = cogroup(parts, "wm", merge_w).materialize()
+    def square(t: pa.Table) -> pa.Table:
+        return t.append_column("n2", pc.multiply(t.column("n"), t.column("n")))
 
-    def stat_partial(t: pa.Table) -> pa.Table:
-        n = t.column("n").to_numpy(zero_copy_only=False).astype(np.int64)
-        df = pd.DataFrame({"event_type": t.column("event_type").to_pylist(), "c": n, "c2": n * n})
-        a = df.groupby("event_type", sort=False).agg(
-            sc=("c", "sum"), sc2=("c2", "sum"), nw=("c", "size")
-        ).reset_index()
-        return pa.table(
-            {
-                "event_type": pa.array(a["event_type"], pa.string()),
-                "sc": pa.array(a["sc"].to_numpy(dtype=np.int64)),
-                "sc2": pa.array(a["sc2"].to_numpy(dtype=np.int64)),
-                "nw": pa.array(a["nw"].to_numpy(dtype=np.int64)),
-            }
-        )
-
-    st = (
-        windows.map_batches(stat_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .to_pandas()
-        .groupby("event_type", sort=False)[["sc", "sc2", "nw"]]
-        .sum()
-    )
+    st = to_frame(combine(
+        windows.map_batches(square, batch_format="pyarrow", zero_copy_batch=True),
+        "event_type",
+        {"sc": ("n", "sum"), "sc2": ("n2", "sum"), "nw": ("n", "count")},
+    ))
     thr = {}
-    for et, r in st.iterrows():
-        mean = float(r["sc"]) / float(r["nw"])
-        var = max(float(r["sc2"]) / float(r["nw"]) - mean * mean, 0.0)
+    for et, sc, sc2, nw in st.itertuples(index=False):
+        mean = float(sc) / float(nw)
+        var = max(float(sc2) / float(nw) - mean * mean, 0.0)
         thr[et] = mean + 3.0 * np.sqrt(var)
 
     def flag(t: pa.Table) -> pa.Table:
@@ -4358,15 +4043,8 @@ def campaign_exposure_seconds(sf_dir: str, gap_s: int = 300):
         return pd.DataFrame(rows, columns=["campaign_id", "exposure_us", "n_islands"])
 
     parts = cogroup(ds, "user_id", exposure_b, sort_by=["user_id", "ts", "event_id"])
-    out = (
-        parts.to_pandas()
-        .groupby("campaign_id", sort=True)[["exposure_us", "n_islands"]]
-        .sum()
-        .reset_index()
-    )
-    for c in out.columns:
-        out[c] = out[c].astype(np.int64)
-    return out
+    sums = {"exposure_us": ("exposure_us", "sum"), "n_islands": ("n_islands", "sum")}
+    return to_frame(combine(parts, "campaign_id", sums))
 
 
 def topk_with_ties_per_group(sf_dir: str, k: int = 2):
@@ -4398,8 +4076,8 @@ def topk_with_ties_per_group(sf_dir: str, k: int = 2):
 def weekly_revenue_wow(sf_dir: str):
     """Period-over-period BI delta: revenue per ISO week (exact integer
     cents) with the week-over-week difference — the trend/regression
-    readout every ops dashboard leads with. Per-batch (week, cents)
-    partials; the aggregated table is weeks-sized, so the LAG finishes on
+    readout every ops dashboard leads with. (week, cents) sums by
+    ``combine``; the aggregated table is weeks-sized, so the LAG finishes on
     the driver in epoch-week order (a Ray sort on dozens of rows costs
     seconds — NOTES driver-finish rule). All integer: epoch_us // 7-day
     weeks anchored to the Unix epoch's Thursday→Monday offset exactly as
@@ -4410,24 +4088,19 @@ def weekly_revenue_wow(sf_dir: str):
     # start on Monday, matching date_trunc('week') in the oracle
     SHIFT_US = 3 * 86_400_000_000
 
-    def partial(t: pa.Table) -> pa.Table:
+    def week_cents(t: pa.Table) -> pa.Table:
         ts = t.column("o_orderdate").cast(pa.timestamp("us")).to_numpy(zero_copy_only=False)
         wk = (ts.astype(np.int64) + SHIFT_US) // WEEK_US
         cents = np.round(
             t.column("o_totalprice").to_numpy(zero_copy_only=False) * 100.0
         ).astype(np.int64)
-        df = pd.DataFrame({"wk": wk, "c": cents}).groupby("wk", sort=False)["c"].sum()
-        return pa.table(
-            {
-                "wk": pa.array(df.index.to_numpy(dtype=np.int64)),
-                "c": pa.array(df.to_numpy(dtype=np.int64)),
-            }
-        )
+        return pa.table({"wk": pa.array(wk), "c": pa.array(cents)})
 
-    parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True).to_pandas()
-    agg = parts.groupby("wk", sort=True)["c"].sum()
-    weeks = agg.index.to_numpy(dtype=np.int64)
-    cents = agg.to_numpy(dtype=np.int64)
+    agg = to_frame(combine(
+        ds.map_batches(week_cents, batch_format="pyarrow", zero_copy_batch=True), "wk", {"c": ("c", "sum")}
+    ))
+    weeks = agg["wk"].to_numpy(dtype=np.int64)
+    cents = agg["c"].to_numpy(dtype=np.int64)
     prev = np.concatenate(([0], cents[:-1]))
     has_prev = np.concatenate(([False], (weeks[1:] - weeks[:-1]) == 1))
     wow = np.where(has_prev, cents - prev, 0)
@@ -4461,8 +4134,7 @@ def user_journey_signatures(sf_dir: str, k: int = 5, top_n: int = 20):
         )
 
     parts = cogroup(ds, "user_id", sigs, sort_by=["user_id", "ts", "event_id"])
-    agg = parts.to_pandas().groupby("signature", sort=False)["n_users"].sum().reset_index()
-    agg["n_users"] = agg["n_users"].astype(np.int64)
+    agg = to_frame(combine(parts, "signature", {"n_users": ("n_users", "sum")}))
     return (
         agg.sort_values(["n_users", "signature"], ascending=[False, True], kind="mergesort")
         .head(top_n)
@@ -4570,34 +4242,24 @@ def histogram_orders_cents(sf_dir: str, bin_cents: int = 1_000_000):
     """Equi-width histogram of order totals (the profiling / data-quality
     primitive behind WIDTH_BUCKET): bin = integer-cents // bin_cents —
     all-integer arithmetic, so the bin boundary can never disagree with
-    the oracle the way float width division can. Per-batch np.bincount
-    partials (one dense int64 vector per batch, length = max bin seen),
-    merged with a tiny grouped sum — order rows never shuffle."""
+    the oracle the way float width division can. Bins counted by
+    ``combine`` — order rows never shuffle."""
     ds = _read(sf_dir, "orders", ["o_totalprice"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def to_bin(t: pa.Table) -> pa.Table:
         p = t.column("o_totalprice").to_numpy(zero_copy_only=False)
         cents = np.floor(p * 100.0 + 0.5).astype(np.int64)  # exact 2-dec grid
-        b = cents // bin_cents
-        cnt = np.bincount(b)
-        nz = np.nonzero(cnt)[0]
-        return pa.table(
-            {
-                "bin": pa.array(nz.astype(np.int64)),
-                "n": pa.array(cnt[nz].astype(np.int64)),
-            }
-        )
+        return pa.table({"bin": pa.array(cents // bin_cents)})
 
-    from ray.data.aggregate import Sum
-
-    parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    out = parts.groupby("bin").aggregate(Sum("n", alias_name="n_orders"))
+    out = combine(
+        ds.map_batches(to_bin, batch_format="pyarrow", zero_copy_batch=True), "bin", {"n_orders": ("bin", "count")}
+    )
     return out.map_batches(
         lambda t: pa.table(
             {
                 "bin": t.column("bin"),
                 "lo_cents": pc.multiply(t.column("bin"), pa.scalar(bin_cents, pa.int64())),
-                "n_orders": pc.cast(t.column("n_orders"), pa.int64()),
+                "n_orders": t.column("n_orders"),
             }
         ),
         batch_format="pyarrow",
@@ -4672,7 +4334,7 @@ def iqr_outliers_by_priority(sf_dir: str):
         )
 
     parts = cds.map_batches(count_part, batch_format="pyarrow", zero_copy_batch=True)
-    tot = parts.to_pandas().groupby("o_orderpriority", sort=False)["n"].sum()
+    tot = to_frame(combine(parts, "o_orderpriority", {"n": ("n", "sum")})).set_index("o_orderpriority")["n"]
     return pd.DataFrame(
         {
             "o_orderpriority": fences["o_orderpriority"].to_numpy(),
@@ -4960,16 +4622,10 @@ def kmv_user_overlap(sf_dir: str, k: int = 256):
         vals, counts = np.unique(masks, return_counts=True)
         return pd.DataFrame({"mask": vals, "n_users": counts.astype(np.int64)})
 
-    combos = (
-        cogroup(
-            ds.map_batches(mask_partial, batch_format="pyarrow", zero_copy_batch=True),
-            "user_id",
-            combo_counts,
-        )
-        .to_pandas()
-        .groupby("mask", as_index=False)["n_users"]
-        .sum()
+    per_bucket = cogroup(
+        ds.map_batches(mask_partial, batch_format="pyarrow", zero_copy_batch=True), "user_id", combo_counts
     )
+    combos = to_frame(combine(per_bucket, "mask", {"n_users": ("n_users", "sum")}))
     cm = combos["mask"].to_numpy(dtype=np.int64)
     cn = combos["n_users"].to_numpy(dtype=np.int64)
 
@@ -5310,8 +4966,9 @@ def clv_by_segment(sf_dir: str):
         return s.reset_index()
 
     facts = orders.map_batches(fact_partial, batch_format="pyarrow", zero_copy_batch=True)
-    parts = cogroup([facts, cust.rename_columns({"c_custkey": "key"})], "key", seg_partial).to_pandas()
-    s = parts.groupby("seg", as_index=False).sum(numeric_only=True)
+    parts = cogroup([facts, cust.rename_columns({"c_custkey": "key"})], "key", seg_partial)
+    sums = {c: (c, "sum") for c in ("n_customers", "sum_orders", "sum_cents", "sum_tenure")}
+    s = to_frame(combine(parts, "seg", sums))
     # integer/integer ratios can land on binary-exact .5e-4 ties where
     # np.round (banker's) diverges from DuckDB ROUND (half-away) — the
     # repetition_signals rule (NOTES r3): round half-away explicitly.
@@ -5321,7 +4978,7 @@ def clv_by_segment(sf_dir: str):
     out = pd.DataFrame(
         {
             "c_mktsegment": s["seg"],
-            "n_customers": s["n_customers"].astype(np.int64),
+            "n_customers": s["n_customers"],
             "avg_orders": r4away(s["sum_orders"] / s["n_customers"]),
             "avg_lifetime_value": r4away(s["sum_cents"] / s["n_customers"] / 100.0),
             "avg_tenure_days": r4away(s["sum_tenure"] / s["n_customers"]),
@@ -5371,8 +5028,8 @@ def interevent_gap_histogram(sf_dir: str):
     events carry µs fractions).
 
     Scale shape: the per-user LAG runs in the bucketed-window family
-    (``cogroup``); per-bucket (type, digits) pre-counts shrink the
-    driver merge to ≤ |types|·19 rows per bucket."""
+    (``cogroup``); per-bucket (type, digits) pre-counts shrink
+    ``combine``'s merge to ≤ |types|·19 rows per bucket."""
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
     pow10 = 10 ** np.arange(1, 19, dtype=np.int64)
 
@@ -5390,12 +5047,8 @@ def interevent_gap_histogram(sf_dir: str):
             .reset_index(name="n")
         )
 
-    parts = cogroup(
-        ds, "user_id", gaps, sort_by=["user_id", "ts", "event_id"]
-    ).to_pandas()
-    out = parts.groupby(["event_type", "gap_digits"], as_index=False)["n"].sum()
-    out["gap_digits"] = out["gap_digits"].astype(np.int64)
-    out["n"] = out["n"].astype(np.int64)
+    parts = cogroup(ds, "user_id", gaps, sort_by=["user_id", "ts", "event_id"])
+    out = to_frame(combine(parts, ["event_type", "gap_digits"], {"n": ("n", "sum")}))
     return out.sort_values(["event_type", "gap_digits"]).reset_index(drop=True)
 
 
@@ -5493,10 +5146,8 @@ def median_gap_by_type(sf_dir: str):
             .reset_index(name="n")
         )
 
-    parts = cogroup(
-        ds, "user_id", gap_counts, sort_by=["user_id", "ts", "event_id"]
-    ).to_pandas()
-    merged = parts.groupby(["event_type", "gap_s"], as_index=False)["n"].sum()
+    parts = cogroup(ds, "user_id", gap_counts, sort_by=["user_id", "ts", "event_id"])
+    merged = to_frame(combine(parts, ["event_type", "gap_s"], {"n": ("n", "sum")}))
     rows = []
     for et, g in merged.groupby("event_type", sort=True):
         g = g.sort_values("gap_s")
@@ -5516,6 +5167,19 @@ def median_gap_by_type(sf_dir: str):
     return out
 
 
+def _cents_per_customer(sf_dir: str):
+    """(ck, cents): each customer's lifetime order total in integer cents
+    (exact BIGINT sums), summed by ``combine`` and materialized."""
+    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
+
+    def cents(t: pa.Table) -> pa.Table:
+        c = np.floor(t.column("o_totalprice").to_numpy(zero_copy_only=False) * 100.0 + 0.5)
+        return pa.table({"ck": pc.cast(t.column("o_custkey"), pa.int64()), "cents": pa.array(c.astype(np.int64))})
+
+    rows = orders.map_batches(cents, batch_format="pyarrow", zero_copy_batch=True)
+    return combine(rows, "ck", {"cents": ("cents", "sum")}).materialize()
+
+
 def revenue_pareto_share(sf_dir: str):
     """Pareto concentration of revenue: what fraction of total order
     revenue comes from the TOP QUARTILE customers (per-customer lifetime
@@ -5525,42 +5189,13 @@ def revenue_pareto_share(sf_dir: str):
     rationals (the NOTES quantile-literal rule; 0.8's nearest double sits
     ABOVE the exact value and is NOT oracle-safe).
 
-    Scale shape: one orders scan of per-batch customer partials →
-    custkey-bucket merge (materialized: reused by the threshold selection
-    AND the final rollup); the threshold is the r4 distributed selection
+    Scale shape: one orders scan summed per customer by ``combine``
+    (materialized: reused by the threshold selection AND the final
+    rollup); the threshold is the r4 distributed selection
     (~3 histogram scans); the rollup is per-batch integer partials summed
     on the driver. Integer cents end-to-end; the one share division is a
     single int/int ratio rounded half-away."""
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-
-    def cust_partial(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "ck": t.column("o_custkey").to_numpy(zero_copy_only=False).astype(np.int64),
-                "cents": np.floor(
-                    t.column("o_totalprice").to_numpy(zero_copy_only=False) * 100.0 + 0.5
-                ).astype(np.int64),
-            }
-        )
-        g = df.groupby("ck", sort=False)["cents"].sum()
-        return pa.table(
-            {
-                "ck": pa.array(g.index.to_numpy(dtype=np.int64)),
-                "cents": pa.array(g.to_numpy(dtype=np.int64)),
-            }
-        )
-
-    def merge_b(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.groupby("ck", sort=False)["cents"].sum()
-        return pd.DataFrame(
-            {"ck": m.index.to_numpy(dtype=np.int64), "cents": m.to_numpy(dtype=np.int64)}
-        )
-
-    percust = cogroup(
-        orders.map_batches(cust_partial, batch_format="pyarrow", zero_copy_batch=True),
-        "ck",
-        merge_b,
-    ).materialize()
+    percust = _cents_per_customer(sf_dir)
     thr = _exact_int_quantiles(percust, "cents", (0.75,))
     t75 = int(thr[0.75])
 
@@ -5598,11 +5233,11 @@ def weekday_seasonality(sf_dir: str):
     computed INTEGER-exact on both sides (DuckDB ``dayofweek``: Sunday=0;
     numpy: ``(epoch_days + 4) % 7`` — 1970-01-01 was a Thursday=4), never
     via locale-dependent strftime names. Bounded-grid aggregate (7 ×
-    |priorities| cells): per-batch partials, driver merge — no shuffle."""
+    |priorities| cells) merged by ``combine``."""
     DAY_US = 86_400_000_000
     ds = _read(sf_dir, "orders", ["o_orderdate", "o_orderpriority", "o_totalprice"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def weekday_cents(t: pa.Table) -> pa.Table:
         us = (
             t.column("o_orderdate")
             .to_numpy(zero_copy_only=False)
@@ -5613,30 +5248,21 @@ def weekday_seasonality(sf_dir: str):
         cents = np.floor(
             t.column("o_totalprice").to_numpy(zero_copy_only=False) * 100.0 + 0.5
         ).astype(np.int64)
-        df = pd.DataFrame(
-            {
-                "weekday": wd,
-                "o_orderpriority": t.column("o_orderpriority").to_pandas(),
-                "cents": cents,
-            }
+        return pa.table(
+            {"weekday": pa.array(wd), "o_orderpriority": t.column("o_orderpriority"), "cents": pa.array(cents)}
         )
-        g = df.groupby(["weekday", "o_orderpriority"], sort=False).agg(
-            n_orders=("cents", "size"), cents=("cents", "sum")
-        )
-        return pa.Table.from_pandas(g.reset_index(), preserve_index=False)
 
-    parts = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .to_pandas()  # ≤ 35 cells per batch — bounded grid
-        .groupby(["weekday", "o_orderpriority"], as_index=False)
-        .sum()
-    )
+    parts = to_frame(combine(
+        ds.map_batches(weekday_cents, batch_format="pyarrow", zero_copy_batch=True),
+        ["weekday", "o_orderpriority"],
+        {"n_orders": ("cents", "count"), "cents": ("cents", "sum")},
+    ))
     out = pd.DataFrame(
         {
-            "weekday": parts["weekday"].astype(np.int64),
+            "weekday": parts["weekday"],
             "o_orderpriority": parts["o_orderpriority"],
-            "n_orders": parts["n_orders"].astype(np.int64),
-            "revenue": parts["cents"].astype(np.int64).to_numpy() / 100.0,
+            "n_orders": parts["n_orders"],
+            "revenue": parts["cents"].to_numpy() / 100.0,
         }
     ).sort_values(["weekday", "o_orderpriority"])
     return out.reset_index(drop=True)
@@ -5646,8 +5272,8 @@ def null_profile(sf_dir: str):
     """Data-quality profile of the documents table: per column, row count,
     null count and (for strings) empty-string count — the first pass any
     ingestion pipeline runs on a new drop. One scan, per-batch integer
-    partials over a |columns|-bounded grid; the driver sums ≤ |columns|
-    rows per batch. Exact by construction (pure integer counts)."""
+    partials over a |columns|-bounded grid summed by ``combine``. Exact by
+    construction (pure integer counts)."""
     cols = ["doc_id", "text", "lang", "source", "n_chars"]
     ds = _read(sf_dir, "documents", cols)
 
@@ -5672,14 +5298,11 @@ def null_profile(sf_dir: str):
             }
         )
 
-    parts = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .to_pandas()
-        .groupby("column", as_index=False)
-        .sum()
-    )
-    for c in ("n_rows", "n_null", "n_blank"):
-        parts[c] = parts[c].astype(np.int64)
+    parts = to_frame(combine(
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        "column",
+        {c: (c, "sum") for c in ("n_rows", "n_null", "n_blank")},
+    ))
     return parts.sort_values("column").reset_index(drop=True)
 
 
@@ -5699,36 +5322,7 @@ def gini_revenue_index(sf_dir: str):
     end; the single int/int ratio rounds half-away (CLAUDE.md rule).
     Reference shape: dataextractai's category-concentration rollups
     (grading parity target is the SQL window oracle)."""
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-
-    def cust_partial(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "ck": t.column("o_custkey").to_numpy(zero_copy_only=False).astype(np.int64),
-                "cents": np.floor(
-                    t.column("o_totalprice").to_numpy(zero_copy_only=False) * 100.0 + 0.5
-                ).astype(np.int64),
-            }
-        )
-        g = df.groupby("ck", sort=False)["cents"].sum()
-        return pa.table(
-            {
-                "ck": pa.array(g.index.to_numpy(dtype=np.int64)),
-                "cents": pa.array(g.to_numpy(dtype=np.int64)),
-            }
-        )
-
-    def merge_b(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.groupby("ck", sort=False)["cents"].sum()
-        return pd.DataFrame(
-            {"ck": m.index.to_numpy(dtype=np.int64), "cents": m.to_numpy(dtype=np.int64)}
-        )
-
-    percust = cogroup(
-        orders.map_batches(cust_partial, batch_format="pyarrow", zero_copy_batch=True),
-        "ck",
-        merge_b,
-    ).materialize()
+    percust = _cents_per_customer(sf_dir)
 
     sample = percust.limit(4096).to_pandas()["cents"].to_numpy(dtype=np.float64)
     lo, hi = float(sample.min()), float(sample.max())
@@ -5746,22 +5340,7 @@ def gini_revenue_index(sf_dir: str):
         add_bucket, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()
 
-    def count_partial(t: pa.Table) -> pa.Table:
-        b = t.column("_bucket").to_numpy(zero_copy_only=False)
-        c = np.bincount(b, minlength=N_RANGE_BUCKETS)
-        return pa.table(
-            {
-                "_bucket": pa.array(np.arange(N_RANGE_BUCKETS, dtype=np.int64)),
-                "n": pa.array(c.astype(np.int64)),
-            }
-        )
-
-    parts = bucketed.map_batches(
-        count_partial, batch_format="pyarrow", zero_copy_batch=True
-    ).to_pandas()
-    counts = (
-        parts.groupby("_bucket")["n"].sum().reindex(range(N_RANGE_BUCKETS), fill_value=0).to_numpy()
-    )
+    counts = _range_bucket_counts(bucketed)
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
 
     def ranksum_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -5877,7 +5456,7 @@ def market_share_by_year(sf_dir: str, nation: str = "NATION_3"):
     set (dimension tables; broadcast once via ``ray.put``, the
     semi_join_keys layout). The big join lineitem⋈orders is ONE
     orderkey-hash bucket co-group (shuffle_join_detail layout) and each
-    bucket emits ≤ |years| integer partial rows, so the driver merge is
+    bucket emits ≤ |years| integer partial rows, so ``combine``'s merge is
     grid-sized. Order year is integer epoch arithmetic on both sides."""
     import ray
 
@@ -5944,17 +5523,17 @@ def market_share_by_year(sf_dir: str, nation: str = "NATION_3"):
         orders.map_batches(order_rows, batch_format="pyarrow", zero_copy_batch=True),
         li.map_batches(li_rows, batch_format="pyarrow", zero_copy_batch=True),
     ]
-    parts = cogroup(sides, "key", join_bucket).to_pandas()
-    a = parts.groupby("o_year", sort=True)[["rev_all", "rev_tgt"]].sum().reset_index()
+    parts = cogroup(sides, "key", join_bucket)
+    a = to_frame(combine(parts, "o_year", {"rev_all": ("rev_all", "sum"), "rev_tgt": ("rev_tgt", "sum")}))
     share = np.floor(
         a["rev_tgt"].to_numpy(dtype=np.float64) / a["rev_all"].to_numpy(dtype=np.float64) * 1e6
         + 0.5
     ) / 1e6
     return pd.DataFrame(
         {
-            "o_year": a["o_year"].astype(np.int64),
-            "revenue_e6": a["rev_all"].astype(np.int64),
-            "target_revenue_e6": a["rev_tgt"].astype(np.int64),
+            "o_year": a["o_year"],
+            "revenue_e6": a["rev_all"],
+            "target_revenue_e6": a["rev_tgt"],
             "market_share": share,
         }
     )
@@ -5975,13 +5554,13 @@ def syllable_stats_by_source(sf_dir: str):
     starts forced; groups-per-word via two searchsorteds — zero per-row
     Python, the word_chunk_arrays discipline; byte-level counting is
     UTF-8-safe because ASCII bytes never occur inside multibyte
-    sequences). Per-batch |sources|-grid partials, driver merge."""
+    sequences). Per-document counts summed per source by ``combine``."""
     from ..functions.hashing import _string_buffer_view
 
     ds = _read(sf_dir, "documents", ["source", "text"])
     VOWELS = np.frombuffer(b"aeiouAEIOU", dtype=np.uint8)
 
-    def partial(t: pa.Table) -> pa.Table:
+    def counts(t: pa.Table) -> pa.Table:
         flat, starts, lens = _string_buffer_view(t.column("text"))
         n = len(starts)
         ends = starts + lens
@@ -6006,26 +5585,20 @@ def syllable_stats_by_source(sf_dir: str):
         gpw = np.searchsorted(gpos, wend) - np.searchsorted(gpos, wstart)
         row_of_word = np.repeat(np.arange(n, dtype=np.int64), n_words)
         n_mono = np.bincount(row_of_word[gpw == 1], minlength=n).astype(np.int64)
-        df = pd.DataFrame(
+        return pa.table(
             {
-                "source": t.column("source").to_pandas(),
-                "n_docs": np.ones(n, dtype=np.int64),
-                "n_words": n_words.astype(np.int64),
-                "n_syllables": n_syll.astype(np.int64),
-                "n_mono": n_mono,
+                "source": t.column("source"),
+                "n_words": pa.array(n_words.astype(np.int64)),
+                "n_syllables": pa.array(n_syll.astype(np.int64)),
+                "n_mono": pa.array(n_mono),
             }
         )
-        g = df.groupby("source", sort=False, as_index=False).sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
 
-    parts = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .to_pandas()
-        .groupby("source", sort=True, as_index=False)
-        .sum()
-    )
-    for c in ("n_docs", "n_words", "n_syllables", "n_mono"):
-        parts[c] = parts[c].astype(np.int64)
+    parts = to_frame(combine(
+        ds.map_batches(counts, batch_format="pyarrow", zero_copy_batch=True),
+        "source",
+        {"n_docs": ("n_words", "count"), **{c: (c, "sum") for c in ("n_words", "n_syllables", "n_mono")}},
+    ))
     parts["forcast_grade"] = 20.0 - 15.0 * (
         parts["n_mono"].to_numpy(dtype=np.float64) / parts["n_words"].to_numpy(dtype=np.float64)
     )
@@ -6037,51 +5610,17 @@ def customer_order_distribution(sf_dir: str):
     exactly k orders, INCLUDING the zero-order customers the left join
     exists for. The classic "engagement histogram" every CRM rollup needs.
 
-    Scale shape: the orders fact never joins customer row-for-row — each
-    batch emits per-custkey count partials, one custkey-hash bucket merge
-    finalizes per-customer counts, and each output batch reduces to a
-    COUNT-VALUE grid (bounded by max orders/customer, ~25 here, never
-    corpus size) via ``np.bincount``. The zero bucket is pure arithmetic:
+    Scale shape: the orders fact never joins customer row-for-row — one
+    ``combine`` counts orders per custkey and a second counts customers
+    per COUNT VALUE (a grid bounded by max orders/customer, ~25 here,
+    never corpus size). The zero bucket is pure arithmetic:
     ``count(customer) − |distinct custkeys in orders|`` — two distributed
     scalars, so the customer dimension is scanned for a count only and no
     anti-join materializes. All integers end to end."""
     orders = _read(sf_dir, "orders", ["o_custkey"])
     n_customers = _read(sf_dir, "customer", ["c_custkey"]).count()
-
-    def cnt_partial(t: pa.Table) -> pa.Table:
-        ck = t.column("o_custkey").to_numpy(zero_copy_only=False).astype(np.int64)
-        u, c = np.unique(ck, return_counts=True)
-        return pa.table({"ck": pa.array(u), "n": pa.array(c.astype(np.int64))})
-
-    def merge_b(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.groupby("ck", sort=False)["n"].sum()
-        return pd.DataFrame({"c_count": m.to_numpy(dtype=np.int64)})
-
-    percust = cogroup(
-        orders.map_batches(cnt_partial, batch_format="pyarrow", zero_copy_batch=True),
-        "ck",
-        merge_b,
-    )
-
-    def hist_partial(t: pa.Table) -> pa.Table:
-        c = t.column("c_count").to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(c) == 0:
-            return pa.table(
-                {"c_count": pa.array([], pa.int64()), "n_customers": pa.array([], pa.int64())}
-            )
-        b = np.bincount(c)
-        nz = np.flatnonzero(b)
-        return pa.table(
-            {"c_count": pa.array(nz.astype(np.int64)), "n_customers": pa.array(b[nz].astype(np.int64))}
-        )
-
-    parts = (
-        percust.map_batches(hist_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .to_pandas()
-        .groupby("c_count", sort=True)["n_customers"]
-        .sum()
-        .reset_index()
-    )
+    percust = combine(orders, "o_custkey", {"c_count": ("o_custkey", "count")})
+    parts = to_frame(combine(percust, "c_count", {"n_customers": ("c_count", "count")}))
     n_with_orders = int(parts["n_customers"].sum())
     zero = n_customers - n_with_orders
     if zero > 0:
@@ -6104,8 +5643,8 @@ def promo_revenue_by_type(sf_dir: str):
     searchsorted lookup, no per-batch reshipping); the lineitem fact is one
     scan emitting |types|-grid integer partials per batch (``np.add.at``
     into an int64 grid — bincount's float weights would lose exactness past
-    2^53), so nothing corpus-sized ever shuffles. Driver merge is
-    |types| rows."""
+    2^53), so nothing corpus-sized ever shuffles. ``combine`` merges
+    |types| rows per batch."""
     import ray
 
     import pyarrow.parquet as pq
@@ -6143,13 +5682,11 @@ def promo_revenue_by_type(sf_dir: str):
             }
         )
 
-    parts = (
-        li.map_batches(grid_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .to_pandas()
-        .groupby("_code", sort=True)[["revenue_e6", "n_items"]]
-        .sum()
-        .reset_index()
-    )
+    parts = to_frame(combine(
+        li.map_batches(grid_partial, batch_format="pyarrow", zero_copy_batch=True),
+        "_code",
+        {"revenue_e6": ("revenue_e6", "sum"), "n_items": ("n_items", "sum")},
+    ))
     total = int(parts["revenue_e6"].sum())
     share = np.floor(
         parts["revenue_e6"].to_numpy(dtype=np.float64) / float(total) * 1e6 + 0.5
@@ -6157,8 +5694,8 @@ def promo_revenue_by_type(sf_dir: str):
     out = pd.DataFrame(
         {
             "p_type": [names[int(c)] for c in parts["_code"]],
-            "revenue_e6": parts["revenue_e6"].astype(np.int64),
-            "n_items": parts["n_items"].astype(np.int64),
+            "revenue_e6": parts["revenue_e6"],
+            "n_items": parts["n_items"],
             "revenue_share": share,
         }
     )
@@ -6212,28 +5749,16 @@ def dau_engagement_by_month(sf_dir: str):
             }
         )
 
-    parts = (
-        cogroup(dd, "user_id", month_grid)
-        .to_pandas()
-        .groupby("ym", sort=True)[["n_user_days", "mau"]]
-        .sum()
-        .reset_index()
-    )
-    avg = np.floor(
-        parts["n_user_days"].to_numpy(dtype=np.float64)
-        / parts["mau"].to_numpy(dtype=np.float64)
+    out = to_frame(combine(
+        cogroup(dd, "user_id", month_grid), "ym", {"n_user_days": ("n_user_days", "sum"), "mau": ("mau", "sum")}
+    ))
+    out["avg_active_days"] = np.floor(
+        out["n_user_days"].to_numpy(dtype=np.float64)
+        / out["mau"].to_numpy(dtype=np.float64)
         * 1e6
         + 0.5
     ) / 1e6
-    out = pd.DataFrame(
-        {
-            "ym": parts["ym"].astype(np.int64),
-            "n_user_days": parts["n_user_days"].astype(np.int64),
-            "mau": parts["mau"].astype(np.int64),
-            "avg_active_days": avg,
-        }
-    )
-    return out.reset_index(drop=True)
+    return out
 
 
 def unshipped_backlog_by_priority(sf_dir: str):
@@ -6247,7 +5772,7 @@ def unshipped_backlog_by_priority(sf_dir: str):
     Scale shape: both fact scans filter per batch on integer epoch-µs
     BEFORE anything shuffles (predicate-first discipline), then one
     orderkey-hash ``cogroup`` (``market_share_by_year`` layout) emits ≤|priorities| integer grid rows per bucket. Revenue is
-    the integer-exact rev_e6 algebra; everything BIGINT so the driver
+    the integer-exact rev_e6 algebra; everything BIGINT so ``combine``'s
     merge is pure integer sums."""
     CUTOFF_US = np.datetime64("1998-07-01", "us").astype(np.int64)
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"])
@@ -6309,15 +5834,8 @@ def unshipped_backlog_by_priority(sf_dir: str):
         orders.map_batches(order_rows, batch_format="pyarrow", zero_copy_batch=True),
         li.map_batches(li_rows, batch_format="pyarrow", zero_copy_batch=True),
     ]
-    parts = cogroup(sides, "key", join_bucket).to_pandas()
-    out = (
-        parts.groupby("o_orderpriority", sort=True)[["n_orders", "n_items", "revenue_e6"]]
-        .sum()
-        .reset_index()
-    )
-    for c in ("n_orders", "n_items", "revenue_e6"):
-        out[c] = out[c].astype(np.int64)
-    return out.reset_index(drop=True)
+    sums = {c: (c, "sum") for c in ("n_orders", "n_items", "revenue_e6")}
+    return to_frame(combine(cogroup(sides, "key", join_bucket), "o_orderpriority", sums))
 
 
 def hapax_ratio_by_source(sf_dir: str):
@@ -6376,23 +5894,13 @@ def hapax_ratio_by_source(sf_dir: str):
         )
 
     pairs = ds.map_batches(pair_partial, batch_format="pyarrow", zero_copy_batch=True)
-    parts = (
-        cogroup(pairs, "token", classify_in_bucket)
-        .to_pandas()
-        .groupby("source", sort=True)[["n_vocab", "n_hapax"]]
-        .sum()
-        .reset_index()
-    )
-    ratio = np.floor(
-        parts["n_hapax"].to_numpy(dtype=np.float64) / parts["n_vocab"].to_numpy(dtype=np.float64) * 1e6
+    out = to_frame(combine(
+        cogroup(pairs, "token", classify_in_bucket),
+        "source",
+        {"n_vocab": ("n_vocab", "sum"), "n_hapax": ("n_hapax", "sum")},
+    ))
+    out["hapax_ratio"] = np.floor(
+        out["n_hapax"].to_numpy(dtype=np.float64) / out["n_vocab"].to_numpy(dtype=np.float64) * 1e6
         + 0.5
     ) / 1e6
-    out = pd.DataFrame(
-        {
-            "source": parts["source"],
-            "n_vocab": parts["n_vocab"].astype(np.int64),
-            "n_hapax": parts["n_hapax"].astype(np.int64),
-            "hapax_ratio": ratio,
-        }
-    )
-    return out.reset_index(drop=True)
+    return out

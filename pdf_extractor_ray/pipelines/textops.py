@@ -12,7 +12,7 @@ import pyarrow.compute as pc
 
 from .. import corpus
 from ..functions.hashing import rolling_fingerprint
-from .buckets import cogroup
+from .buckets import cogroup, combine, to_frame
 from ..functions.langid import LangId
 from ..stages.multimodal import MediaFeatures, media_table_from_documents
 from .extract import extract_pages, quality_by_host
@@ -347,23 +347,10 @@ def corpus_near_dup_pipeline(sf_dir: str):
         lambda t: t.filter(pc.greater_equal(t.column("doc_id"), 0)),
         batch_format="pyarrow",
     )
-    def rep_partial(t: pa.Table) -> pa.Table:
-        # per-batch combiner (min doc per sha), co-grouped on the sha: the
-        # native groupby(text_sha).aggregate(Min) had one Ray group per
-        # unique document (r3, same shape as relational.dedup_exact)
-        return (
-            t.select(["text_sha", "doc_id"])
-            .group_by("text_sha")
-            .aggregate([("doc_id", "min")])
-            .rename_columns(["text_sha", "doc_id"])
-        )
-
-    def rep_merge(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby("text_sha", sort=False, as_index=False)["doc_id"].min()[
-            ["text_sha", "doc_id"]
-        ]
-
-    reps = cogroup(real.map_batches(rep_partial, batch_format="pyarrow"), "text_sha", rep_merge).materialize()
+    # min doc per sha by ``combine``: the native
+    # groupby(text_sha).aggregate(Min) had one Ray group per unique
+    # document (r3, same shape as relational.dedup_exact)
+    reps = combine(real, "text_sha", {"doc_id": ("doc_id", "min")}).materialize()
     n_exact_unique = reps.count()
     if n_exact_unique <= SURVIVOR_BROADCAST_THRESHOLD:
         rep_ids = reps.map_batches(
@@ -1006,7 +993,7 @@ def host_reputation_filter(sf_dir: str, min_mean_tokens_x100: int = 5000):
     cross-row SUM and stays OFF the oracle path per NOTES), merge with a
     static blocklist, and keep only documents from reputable hosts.
 
-    Scale shape: pass 1 = per-batch (host, sum_tokens, n) partials → a
+    Scale shape: pass 1 = (host, sum_tokens, n) by ``combine`` → a
     host-cardinality-sized driver table (12 rows here; domains in the
     millions still fit); the keep-set broadcasts into the stateless pass-2
     filter. Two column-pruned passes, zero all-to-all."""
@@ -1030,25 +1017,10 @@ def host_reputation_filter(sf_dir: str, min_mean_tokens_x100: int = 5000):
             }
         )
 
-    def host_partials(t: pa.Table) -> pa.Table:
-        tt = pa.table(
-            {
-                "host": t.column("host"),
-                "sum_tok": t.column("n_tokens"),
-                "n": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-            }
-        )
-        return (
-            tt.group_by("host")
-            .aggregate([("sum_tok", "sum"), ("n", "sum")])
-            .rename_columns(["host", "sum_tok", "n"])
-        )
-
     scored = _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
         ok_host_tokens, batch_format="pyarrow", zero_copy_batch=True
     )
-    hp = scored.map_batches(host_partials, batch_format="pyarrow").to_pandas()
-    hp = hp.groupby("host", sort=False)[["sum_tok", "n"]].sum().reset_index()
+    hp = to_frame(combine(scored, "host", {"sum_tok": ("n_tokens", "sum"), "n": ("doc_id", "count")}))
     keep_hosts = set(
         hp.loc[
             (hp["sum_tok"] * 100 >= min_mean_tokens_x100 * hp["n"])

@@ -20,8 +20,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .buckets import N_RANGE_BUCKETS, cogroup
-from .relational import _read
+from .buckets import N_RANGE_BUCKETS, cogroup, combine, to_frame
+from .relational import _range_bucket_counts, _read
 
 #: Knuth multiplicative hash modulus/multiplier, chosen so the product
 #: (key % 2^31) * 2654435761 < 2^63 is exact in BOTH numpy int64 and
@@ -87,12 +87,12 @@ def token_budget_shards(sf_dir: str, budget: int = 5_000):
 
     nt = ds.map_batches(narrow, batch_format="pyarrow", zero_copy_batch=True).materialize()
 
-    per_bucket = nt.groupby("_bucket").sum("n_tokens").to_pandas()
+    per_bucket = to_frame(combine(nt, "_bucket", {"n_tokens": ("n_tokens", "sum")}))
     per_bucket = per_bucket.sort_values("_bucket")
     offsets_by_bucket = dict(
         zip(
             per_bucket["_bucket"].to_numpy(),
-            np.concatenate(([0], np.cumsum(per_bucket["sum(n_tokens)"].to_numpy())[:-1])),
+            np.concatenate(([0], np.cumsum(per_bucket["n_tokens"].to_numpy())[:-1])),
         )
     )
 
@@ -220,17 +220,9 @@ def split_contamination(sf_dir: str, train_pct: int = 80, val_pct: int = 10):
 
     parts = cogroup(
         ds.map_batches(narrow, batch_format="pyarrow", zero_copy_batch=True), "sha", audit_bucket
-    ).to_pandas()  # ≤ 2 tiny partial rows per bucket
-    out = (
-        parts.groupby("split", sort=False)[["n_docs", "n_contaminated"]]
-        .sum()
-        .reset_index()
-        .sort_values("split")
-        .reset_index(drop=True)
-    )
-    out["n_docs"] = out["n_docs"].astype(np.int64)
-    out["n_contaminated"] = out["n_contaminated"].astype(np.int64)
-    return out
+    )  # ≤ 2 tiny partial rows per bucket
+    sums = {"n_docs": ("n_docs", "sum"), "n_contaminated": ("n_contaminated", "sum")}
+    return to_frame(combine(parts, "split", sums)).sort_values("split").reset_index(drop=True)
 
 
 def _hashed_feats(t: pa.Table, n_feat: int):
@@ -372,12 +364,12 @@ def pack_sequences(sf_dir: str, seq_len: int = 256):
 
     nt = ds.map_batches(narrow, batch_format="pyarrow", zero_copy_batch=True).materialize()
 
-    per_bucket = nt.groupby("_bucket").sum("n_tokens").to_pandas()
+    per_bucket = to_frame(combine(nt, "_bucket", {"n_tokens": ("n_tokens", "sum")}))
     per_bucket = per_bucket.sort_values("_bucket")
     offsets_by_bucket = dict(
         zip(
             per_bucket["_bucket"].to_numpy(),
-            np.concatenate(([0], np.cumsum(per_bucket["sum(n_tokens)"].to_numpy())[:-1])),
+            np.concatenate(([0], np.cumsum(per_bucket["n_tokens"].to_numpy())[:-1])),
         )
     )
 
@@ -450,10 +442,9 @@ def source_mixture_sample(sf_dir: str, mult: int = 4):
 
 def _word_counts_topv(ds, top_v: int):
     """Distributed exact word counts truncated to the top_v most frequent
-    words (count desc, word asc): per-batch value_counts partials →
-    token-hash bucket merge (the heavy-hitter exchange layout — one row
-    per distinct-word-per-batch crosses, never token instances) → a
-    vocab-sized sort-limit."""
+    words (count desc, word asc): per-batch value_counts partials summed
+    by ``combine`` (one row per distinct-word-per-batch crosses, never
+    token instances) → a vocab-sized sort-limit."""
 
     def partial(t: pa.Table) -> pa.Table:
         texts = t.column("text").to_pylist()
@@ -467,12 +458,8 @@ def _word_counts_topv(ds, top_v: int):
             }
         )
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby("word", sort=False)["n"].sum().reset_index()
-        return out[["word", "n"]]
-
     return (
-        cogroup(ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True), "word", merge)
+        combine(ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True), "word", {"n": ("n", "sum")})
         .sort(["n", "word"], descending=[True, False])
         .limit(top_v)
         .to_pandas()
@@ -551,16 +538,11 @@ def stratified_sample_by_decile(sf_dir: str, tiles: int = 10, k: int = 20):
         b = ((v - lo) / span * N_RANGE_BUCKETS).astype(np.int64)
         return np.clip(b, 0, N_RANGE_BUCKETS - 1)
 
-    def count_partial(t: pa.Table) -> pa.Table:
+    def add_bucket(t: pa.Table) -> pa.Table:
         v = t.column("n_chars").to_numpy(zero_copy_only=False)
-        c = np.bincount(bucket_of(v), minlength=N_RANGE_BUCKETS)
-        return pa.table(
-            {"_bucket": pa.array(np.arange(N_RANGE_BUCKETS, dtype=np.int64)),
-             "n": pa.array(c.astype(np.int64))}
-        )
+        return t.append_column("_bucket", pa.array(bucket_of(v)))
 
-    parts = ds.map_batches(count_partial, batch_format="pyarrow", zero_copy_batch=True).to_pandas()
-    counts = parts.groupby("_bucket")["n"].sum().reindex(range(N_RANGE_BUCKETS), fill_value=0).to_numpy()
+    counts = _range_bucket_counts(ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True))
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
     n_total = int(counts.sum())
     q, rem = divmod(n_total, tiles)
@@ -571,10 +553,6 @@ def stratified_sample_by_decile(sf_dir: str, tiles: int = 10, k: int = 20):
         head = r0 < rem * (q + 1)
         t_ = np.where(head, r0 // (q + 1), rem + (r0 - rem * (q + 1)) // max(q, 1))
         return (t_ + 1).astype(np.int64)
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        v = t.column("n_chars").to_numpy(zero_copy_only=False)
-        return t.append_column("_bucket", pa.array(bucket_of(v)))
 
     def rank_tile_topk(g: pd.DataFrame) -> pd.DataFrame:
         b = int(g["_bucket"].iloc[0])
@@ -739,26 +717,13 @@ def classifier_auc(sf_dir: str):
     def bucket_of(p: np.ndarray) -> np.ndarray:
         return np.clip((p * N_RANGE_BUCKETS).astype(np.int64), 0, N_RANGE_BUCKETS - 1)
 
-    def count_partial(t: pa.Table) -> pa.Table:
-        p = t.column("prob").to_numpy(zero_copy_only=False)
-        c = np.bincount(bucket_of(p), minlength=N_RANGE_BUCKETS)
-        return pa.table(
-            {
-                "_bucket": pa.array(np.arange(N_RANGE_BUCKETS, dtype=np.int64)),
-                "n": pa.array(c.astype(np.int64)),
-            }
-        )
-
-    scored = scored.materialize()  # two consumers: counts pass + rank pass
-    parts = scored.map_batches(
-        count_partial, batch_format="pyarrow", zero_copy_batch=True
-    ).to_pandas()
-    counts = parts.groupby("_bucket")["n"].sum().reindex(range(N_RANGE_BUCKETS), fill_value=0).to_numpy()
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
-
     def add_bucket(t: pa.Table) -> pa.Table:
         p = t.column("prob").to_numpy(zero_copy_only=False)
         return t.append_column("_bucket", pa.array(bucket_of(p)))
+
+    scored = scored.materialize()  # two consumers: counts pass + rank pass
+    counts = _range_bucket_counts(scored.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True))
+    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
 
     def rank_partial(g: pd.DataFrame) -> pd.DataFrame:
         b = int(g["_bucket"].iloc[0])
@@ -809,16 +774,11 @@ def padding_waste_by_length_tile(sf_dir: str, tiles: int = 10):
         b = ((v - lo) / span * N_RANGE_BUCKETS).astype(np.int64)
         return np.clip(b, 0, N_RANGE_BUCKETS - 1)
 
-    def count_partial(t: pa.Table) -> pa.Table:
+    def add_bucket(t: pa.Table) -> pa.Table:
         v = t.column("n_chars").to_numpy(zero_copy_only=False)
-        c = np.bincount(bucket_of(v), minlength=N_RANGE_BUCKETS)
-        return pa.table(
-            {"_bucket": pa.array(np.arange(N_RANGE_BUCKETS, dtype=np.int64)),
-             "n": pa.array(c.astype(np.int64))}
-        )
+        return t.append_column("_bucket", pa.array(bucket_of(v)))
 
-    parts = ds.map_batches(count_partial, batch_format="pyarrow", zero_copy_batch=True).to_pandas()
-    counts = parts.groupby("_bucket")["n"].sum().reindex(range(N_RANGE_BUCKETS), fill_value=0).to_numpy()
+    counts = _range_bucket_counts(ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True))
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
     n_total = int(counts.sum())
     q, rem = divmod(n_total, tiles)
@@ -829,10 +789,6 @@ def padding_waste_by_length_tile(sf_dir: str, tiles: int = 10):
         t_ = np.where(head, r0 // (q + 1), rem + (r0 - rem * (q + 1)) // max(q, 1))
         return (t_ + 1).astype(np.int64)
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        v = t.column("n_chars").to_numpy(zero_copy_only=False)
-        return t.append_column("_bucket", pa.array(bucket_of(v)))
-
     def tile_partials(g: pd.DataFrame) -> pd.DataFrame:
         b = int(g["_bucket"].iloc[0])
         g = g.sort_values(["n_chars", "doc_id"], kind="mergesort")
@@ -841,21 +797,18 @@ def padding_waste_by_length_tile(sf_dir: str, tiles: int = 10):
         a = d.groupby("tile", sort=False)["len"].agg(n="size", s="sum", mx="max").reset_index()
         return a
 
-    agg = (
+    tiles_ds = (
         ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("_bucket")
         .map_groups(tile_partials, batch_format="pandas")
-        .to_pandas()
     )
-    f = agg.groupby("tile", sort=True).agg(
-        n_docs=("n", "sum"), s=("s", "sum"), max_len=("mx", "max")
-    ).reset_index()
+    f = to_frame(combine(tiles_ds, "tile", {"n_docs": ("n", "sum"), "s": ("s", "sum"), "max_len": ("mx", "max")}))
     return pd.DataFrame(
         {
-            "tile": f["tile"].astype(np.int64),
-            "n_docs": f["n_docs"].astype(np.int64),
-            "max_len": f["max_len"].astype(np.int64),
-            "padding_waste": (f["n_docs"] * f["max_len"] - f["s"]).astype(np.int64),
+            "tile": f["tile"],
+            "n_docs": f["n_docs"],
+            "max_len": f["max_len"],
+            "padding_waste": f["n_docs"] * f["max_len"] - f["s"],
         }
     )
 
@@ -998,10 +951,10 @@ def weighted_quantile_doc_len(sf_dir: str):
             }
         )
 
-    parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True).to_pandas()
-    grid = parts.groupby("len", sort=True)["w"].sum()
-    cum = grid.cumsum().to_numpy()
-    lens = grid.index.to_numpy()
+    parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+    grid = to_frame(combine(parts, "len", {"w": ("w", "sum")})).sort_values("len")
+    cum = grid["w"].cumsum().to_numpy()
+    lens = grid["len"].to_numpy()
     total = int(cum[-1]) if len(cum) else 0
     out = []
     for q_name, num, den in (("p50", 1, 2), ("p90", 9, 10)):
@@ -1024,25 +977,12 @@ def temperature_mixture_allocation(sf_dir: str, budget: int = 100_000):
     against W = Σw — no float share ever compared. Deficit seats go to the
     largest remainders (source name tiebreak).
 
-    Scale shape: one partial-agg pass (per-batch per-source char sums →
-    sources-sized merge); the allocation itself is a sources-sized driver
-    computation, like skew_salt_plan's plan table."""
-    from ray.data.aggregate import Sum
-
+    Scale shape: one ``combine`` pass (per-source char sums, sources-sized
+    merge); the allocation itself is a sources-sized driver computation,
+    like skew_salt_plan's plan table."""
     ds = _read(sf_dir, "documents", ["source", "n_chars"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        return (
-            t.group_by("source")
-            .aggregate([("n_chars", "sum")])
-            .rename_columns(["source", "sz"])
-        )
-
     sizes = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("source")
-        .aggregate(Sum("sz", alias_name="size_chars"))
-        .to_pandas()
+        to_frame(combine(ds, "source", {"size_chars": ("n_chars", "sum")}))
         .sort_values("source")
         .reset_index(drop=True)
     )

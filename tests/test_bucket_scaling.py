@@ -6,14 +6,17 @@ frame is memory-bounded by design. These tests pin
 
 1. the derivation itself (floor at small inputs, ceil(rows/target) when
    forced, execution-free estimates through transform chains);
-2. bucket-count INVARIANCE: forcing a tiny GRAFT_ROWS_PER_BUCKET (many
+2. bucket-count INVARIANCE: forcing a tiny ``ROWS_PER_BUCKET`` (many
    buckets) leaves every co-group shape bit-identical — windows, joins,
    snapshot co-groups, set ops and text co-groups — because bucketing is
-   pure partitioning, never semantics;
-3. the primitive's contract: per-side frames keep int64 exact past 2^53,
+   pure partitioning, never semantics; the same forcing sends every
+   ``combine`` to its co-group merge, which must match the driver merge;
+3. the primitives' contracts: per-side frames keep int64 exact past 2^53,
    an empty side is a typed zero-row frame, the stage carries the
-   callback's name;
-4. a static guard: hand-rolled ``groupby("_bucket")`` shuffles stay gone.
+   callback's name; ``combine`` is block-order independent, exact past
+   2^53, handles multi-column keys and typed empty inputs;
+4. static guards: hand-rolled ``groupby("_bucket")`` shuffles and
+   per-key partial merges outside ``combine`` stay gone.
 """
 
 from __future__ import annotations
@@ -26,11 +29,14 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
+from pdf_extractor_ray.pipelines import buckets
 from pdf_extractor_ray.pipelines.buckets import (
     N_KEY_BUCKETS,
     _source_row_estimate,
     cogroup,
+    combine,
     derive_n_buckets,
+    to_frame,
 )
 
 PIPELINES = pathlib.Path(__file__).resolve().parent.parent / "pdf_extractor_ray" / "pipelines"
@@ -76,7 +82,7 @@ def test_derive_floor_and_scaling(sf_dir, monkeypatch):
     # 1000 rows / 2M target -> floor
     assert derive_n_buckets(ds) == N_KEY_BUCKETS
     # forced tiny target -> ceil(1000/7) = 143 buckets
-    monkeypatch.setenv("GRAFT_ROWS_PER_BUCKET", "7")
+    monkeypatch.setattr(buckets, "ROWS_PER_BUCKET", 7)
     assert derive_n_buckets(ds) == 143
     # est_rows override wins over metadata
     assert derive_n_buckets(ds, est_rows=7000) == 1000
@@ -99,13 +105,22 @@ def test_derive_floor_and_scaling(sf_dir, monkeypatch):
         "boilerplate_line_removal",
         "paragraph_dedup",
         "cc_pipeline_audit",
+        "quality_by_host_stats",
+        "pricing_summary",
+        "tumbling_window_agg",
+        "benford_first_digit",
+        "exact_distinct_tokens_by_source",
+        "degree_distribution",
+        "minhash_near_dup",
     ],
 )
 def test_bucket_count_invariance(sf_dir, qname, monkeypatch):
     """Forcing many tiny buckets must leave results bit-identical: the
     bucket is partitioning only (every row of a key still lands in exactly
     one bucket on every side), so per-key results cannot depend on the
-    count."""
+    count. The forced size also sends every ``combine`` (quality_by_host,
+    pricing_summary, windows, benford, distinct tokens, degree histogram,
+    ``_dedup_verified``) to its co-group merge."""
     import importlib.util
 
     spec = importlib.util.spec_from_file_location(
@@ -115,22 +130,21 @@ def test_bucket_count_invariance(sf_dir, qname, monkeypatch):
     spec.loader.exec_module(mod)
     fn = mod.queries()[qname]
 
-    monkeypatch.delenv("GRAFT_ROWS_PER_BUCKET", raising=False)
     base = _canon(fn(sf_dir))
-    monkeypatch.setenv("GRAFT_ROWS_PER_BUCKET", "3")  # ceil(1000/3) = 334 buckets
+    monkeypatch.setattr(buckets, "ROWS_PER_BUCKET", 3)  # ceil(1000/3) = 334 buckets
     many = _canon(fn(sf_dir))
     pd.testing.assert_frame_equal(base, many, check_exact=True)
 
 
 def test_forced_tiny_buckets_make_more_than_64_groups(tmp_path, monkeypatch):
-    """On a planted 1,000-row parquet input, GRAFT_ROWS_PER_BUCKET=3 must
+    """On a planted 1,000-row parquet input, ROWS_PER_BUCKET=3 must
     reach the primitive: one output row per group, more than 64 groups."""
     import pyarrow.parquet as pq
     import ray.data as rd
 
     path = tmp_path / "planted.parquet"
     pq.write_table(pa.table({"k": np.arange(1000, dtype=np.int64)}), path)
-    monkeypatch.setenv("GRAFT_ROWS_PER_BUCKET", "3")
+    monkeypatch.setattr(buckets, "ROWS_PER_BUCKET", 3)
     out = cogroup(rd.read_parquet(str(path)), "k", lambda g: pd.DataFrame({"n": [len(g)]}))
     n = out.to_pandas()["n"]
     assert len(n) > 64
@@ -220,6 +234,112 @@ def test_stage_is_named_after_the_callback(sf_dir):
     assert "MapBatches(run)" not in stats
 
 
+_AGGS = {"n": ("v", "count"), "lo": ("v", "min"), "hi": ("v", "max"), "total": ("v", "sum")}
+
+
+def _keyed_table(n: int = 500) -> pa.Table:
+    """A string + int key over int64 values at and past 2^53."""
+    i = np.arange(n, dtype=np.int64)
+    return pa.table(
+        {
+            "s": pa.array([f"h{k % 7}" for k in i], pa.string()),
+            "k": pa.array(i % 3, pa.int64()),
+            "v": pa.array(2**53 + i * 3, pa.int64()),
+        }
+    )
+
+
+def _expected(t: pa.Table) -> pd.DataFrame:
+    """The per-(s, k) aggregates in exact Python integers."""
+    rows = {}
+    for s_, k, v in zip(t.column("s").to_pylist(), t.column("k").to_pylist(), t.column("v").to_pylist()):
+        rows.setdefault((s_, k), []).append(v)
+    return pd.DataFrame(
+        [
+            {"s": s_, "k": k, "n": len(vs), "lo": min(vs), "hi": max(vs), "total": sum(vs)}
+            for (s_, k), vs in rows.items()
+        ]
+    ).astype({"k": "int64", "n": "int64", "lo": "int64", "hi": "int64", "total": "int64"})
+
+
+def test_combine_driver_and_cogroup_merges_agree(monkeypatch):
+    """The driver merge and the forced co-group merge (ROWS_PER_BUCKET=1)
+    give the same rows and dtypes; the driver merge returns them sorted."""
+    import ray.data as rd
+
+    t = _keyed_table()
+    ds = rd.from_arrow([t.slice(i, 50) for i in range(0, 500, 50)])
+    driver = combine(ds, ["s", "k"], _AGGS).to_pandas()
+    assert list(driver.columns) == ["s", "k", "n", "lo", "hi", "total"]
+    assert driver.equals(driver.sort_values(["s", "k"]).reset_index(drop=True))
+    monkeypatch.setattr(buckets, "ROWS_PER_BUCKET", 1)
+    forced = combine(ds, ["s", "k"], _AGGS).materialize()
+    assert "MapBatches(merge)" in forced.stats()
+    pd.testing.assert_frame_equal(_canon(driver), _canon(forced), check_exact=True)
+    pd.testing.assert_frame_equal(_canon(driver), _canon(_expected(t)), check_exact=True)
+
+
+def test_combine_is_block_order_independent():
+    """1 block, 7 blocks and the 7 blocks reversed give the same output."""
+    import ray.data as rd
+
+    t = _keyed_table(700)
+    blocks = [t.slice(i, 100) for i in range(0, 700, 100)]
+    outs = [
+        combine(rd.from_arrow(b), ["s", "k"], _AGGS).to_pandas()
+        for b in (t, blocks, blocks[::-1])
+    ]
+    for out in outs[1:]:
+        pd.testing.assert_frame_equal(outs[0], out, check_exact=True)
+
+
+def test_combine_int64_sums_stay_exact_past_2_53(monkeypatch):
+    """Sums of values past 2^53, across blocks, equal the exact Python sum
+    on both merge paths (a float64 accumulator would round them)."""
+    import ray.data as rd
+
+    vals = [2**53 + 1, 2**53 + 3, 2**60 + 7, 5]
+    ds = rd.from_arrow([pa.table({"k": pa.array([1], pa.int64()), "v": pa.array([v], pa.int64())}) for v in vals])
+    for rpb in (buckets.ROWS_PER_BUCKET, 1):
+        monkeypatch.setattr(buckets, "ROWS_PER_BUCKET", rpb)
+        got = combine(ds, "k", {"total": ("v", "sum")}).to_pandas()
+        assert str(got["total"].dtype) == "int64"
+        assert int(got["total"].iloc[0]) == sum(vals)
+
+
+def test_combine_two_column_key_min_max_count_and_distinct():
+    """A (string, int) key works with min/max/count and as a distinct."""
+    import ray.data as rd
+
+    t = _keyed_table(210)
+    ds = rd.from_arrow([t.slice(0, 100), t.slice(100)])
+    got = combine(ds, ["s", "k"], {"n": ("v", "count"), "lo": ("v", "min"), "hi": ("v", "max")}).to_pandas()
+    want = _expected(t).drop(columns=["total"])
+    pd.testing.assert_frame_equal(_canon(got), _canon(want), check_exact=True)
+    distinct = combine(ds, ["s", "k"], {}).to_pandas()
+    assert list(distinct.columns) == ["s", "k"]
+    assert len(distinct) == 21 and not distinct.duplicated().any()
+
+
+def test_combine_of_empty_input(tmp_path):
+    """No input rows: zero output rows, no error. A read reports its
+    schema, so the output is typed with the key and aggregate columns."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    empty = _keyed_table(0)
+    pq.write_table(empty, tmp_path / "empty.parquet")
+    got = combine(rd.read_parquet(str(tmp_path / "empty.parquet")), ["s", "k"], _AGGS)
+    assert got.count() == 0
+    schema = got.schema()
+    assert dict(zip(schema.names, map(str, schema.types))) == {
+        "s": "string", "k": "int64", "n": "int64", "lo": "int64", "hi": "int64", "total": "int64",
+    }
+    assert list(to_frame(got).dtypes.astype(str)) == ["object"] + ["int64"] * 5
+    lazy = rd.from_arrow(_keyed_table()).filter(expr="k > 5").map_batches(lambda b: b, batch_format="pyarrow")
+    assert len(combine(lazy, "s", {"n": ("v", "count")}).to_pandas()) == 0
+
+
 #: functions whose bucket id carries meaning and so keep their own
 #: groupby("_bucket") (the list in the buckets.py docstring)
 RANGE_PARTITION_SITES = {
@@ -279,6 +399,127 @@ def test_no_hand_rolled_bucket_shuffles_outside_the_primitive():
             continue
         allowed = RANGE_PARTITION_SITES.get(path.name, set())
         for funcs, line in _bucket_groupbys(ast.parse(path.read_text())):
+            if not allowed.intersection(funcs):
+                offenders.append(f"{path.name}:{line} in {'.'.join(funcs) or '<module>'}")
+    assert offenders == []
+
+
+#: functions that keep a partial-key merge outside ``buckets.combine``,
+#: each with the reason its merge is not sum/min/max/count/distinct (the
+#: list in the buckets.py docstring)
+MERGE_ALLOWLIST = {
+    # Mean/Std (mean_std_agg, zscore_by_group); per-range bin vectors
+    # summed elementwise (_exact_int_quantiles_multi)
+    "relational.py": {"mean_std_agg", "zscore_by_group", "_exact_int_quantiles_multi"},
+    # a checksum summed modulo 2^k
+    "textops.py": {"export_roundtrip_manifest"},
+}
+
+_RAY_GROUPED_OPS = {"aggregate", "sum", "count", "min", "max"}
+
+
+def _is_ray_groupby(call) -> bool:
+    """A Dataset.groupby: no pandas keyword (sort=, as_index=, dropna=),
+    keys given as a string or a list, and not called on a pandas
+    constructor."""
+    recv = call.func.value
+    if call.keywords or len(call.args) != 1:
+        return False
+    if not isinstance(call.args[0], (ast.Constant, ast.List)) or (
+        isinstance(call.args[0], ast.Constant) and not isinstance(call.args[0].value, str)
+    ):
+        return False
+    while isinstance(recv, (ast.Call, ast.Attribute, ast.Subscript)):
+        recv = recv.func if isinstance(recv, ast.Call) else recv.value
+    return not (isinstance(recv, ast.Name) and recv.id == "pd")
+
+
+def _chain_calls(node):
+    """Method names called along an expression's receiver chain."""
+    names = []
+    while isinstance(node, (ast.Call, ast.Attribute, ast.Subscript)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            names.append(f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", ""))
+            node = f.value if isinstance(f, ast.Attribute) else None
+        else:
+            node = node.value
+    return names
+
+
+def _partial_merges(tree: ast.AST):
+    """(enclosing function names, line) of every Ray groupby chained into
+    aggregate/sum/count/min/max, and every groupby on the driver-side pandas
+    frame of a map_batches/cogroup output (``X.to_pandas().groupby`` or a
+    name bound to one)."""
+    found = []
+    ray_calls = {"map_batches", "cogroup"}
+
+    def root_name(expr):
+        while isinstance(expr, (ast.Call, ast.Attribute, ast.Subscript)):
+            expr = expr.func if isinstance(expr, ast.Call) else expr.value
+        return expr.id if isinstance(expr, ast.Name) else None
+
+    def is_ray(expr, names) -> bool:
+        calls = _chain_calls(expr)
+        return "to_pandas" not in calls and (bool(ray_calls & set(calls)) or (calls and root_name(expr) in names))
+
+    def driver_frame(expr, names) -> bool:
+        if isinstance(expr, ast.Name):
+            return expr.id in names["frames"]
+        calls = _chain_calls(expr)
+        return (
+            bool(calls)
+            and calls[0] == "to_pandas"
+            and (bool(ray_calls & set(calls[1:])) or root_name(expr) in names["ray"])
+        )
+
+    def bind(node, names):
+        target = node.targets[0].id
+        frame = driver_frame(node.value, names) and not isinstance(node.value, ast.Name)
+        ray_ds = not frame and is_ray(node.value, names["ray"])
+        names["frames"].discard(target)
+        names["ray"].discard(target)
+        if frame:
+            names["frames"].add(target)
+        elif ray_ds:
+            names["ray"].add(target)
+
+    def visit(node, funcs, names):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            funcs, names = funcs + [node.name], {"frames": set(), "ray": set()}
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            inner = node.func.value
+            if (
+                node.func.attr in _RAY_GROUPED_OPS
+                and isinstance(inner, ast.Call)
+                and isinstance(inner.func, ast.Attribute)
+                and inner.func.attr == "groupby"
+                and _is_ray_groupby(inner)
+            ):
+                found.append((funcs, node.lineno))
+            elif node.func.attr == "groupby" and driver_frame(inner, names):
+                found.append((funcs, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, funcs, names)
+        # bound after the value is visited: the value reads the old binding
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+            bind(node, names)
+
+    visit(tree, [], {"frames": set(), "ray": set()})
+    return found
+
+
+def test_partial_key_merges_go_through_combine():
+    """Per-key sum/min/max/count/distinct merges go through
+    buckets.combine: no Ray groupby aggregate and no driver-side pandas
+    groupby over collected partials, outside the named exceptions."""
+    offenders = []
+    for path in sorted(PIPELINES.glob("*.py")):
+        if path.name == "buckets.py":
+            continue
+        allowed = MERGE_ALLOWLIST.get(path.name, set())
+        for funcs, line in _partial_merges(ast.parse(path.read_text())):
             if not allowed.intersection(funcs):
                 offenders.append(f"{path.name}:{line} in {'.'.join(funcs) or '<module>'}")
     assert offenders == []

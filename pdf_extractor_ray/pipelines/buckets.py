@@ -55,33 +55,38 @@ These all use the fixed grid ``N_RANGE_BUCKETS``.
 
 ``combine(ds, keys, aggs)`` is every per-key ``sum``/``min``/``max``/
 ``count`` and every distinct-key (``aggs = {}``) merge. ``aggs`` maps each
-output column to ``(input column, op)``; ``count`` counts the column's
-non-null values, like SQL ``COUNT(col)``. Its contract:
+output column to ``(input column, op)``; ``(None, "count")`` counts rows,
+like SQL ``COUNT(*)``. ``combine_frame`` is the same merge read into one
+pandas frame, for callers that finish on the driver. The contract:
 
 - a per-batch ``pa.Table.group_by`` partial runs as one ``map_batches``
   that Ray fuses into the caller's last map stage, and the partials are
   materialized;
 - path choice: when they number at most ``ROWS_PER_BUCKET`` rows (the
   one-frame memory bound of a co-group bucket), the driver merges them
-  with one ``group_by`` (``count`` partials add up) and returns the result
-  through ``ray.data.from_arrow``; past that, the same merge runs per
-  bucket of ``cogroup(partials, keys[0], ...)``. There is no other
-  shuffle code and no other size knob;
-- row order: the driver path returns rows sorted by ``keys``; the
-  co-group path returns them in bucket order, so callers that need an
-  order sort;
+  with one ``group_by`` (``count`` partials add up); past that, the same
+  merge runs per bucket of ``cogroup(partials, keys[0], ...)``. There is
+  no other shuffle code and no other size knob;
+- blocks: ``combine`` returns the driver merge through
+  ``ray.data.from_arrow`` cut into at most one block per cluster CPU, never
+  splitting a run of equal ``keys[0]`` values, so a downstream stage runs
+  in parallel and sees each ``keys[0]`` value in one block, as it does
+  after the co-group; ``combine_frame`` converts the driver merge
+  directly, with no Ray Data execution;
+- row order: ``combine_frame`` returns rows sorted by ``keys`` on both
+  paths. ``combine`` returns them sorted on the driver path and in bucket
+  order on the co-group path, so its callers that need an order sort;
 - types: Arrow's own ``sum``/``min``/``max``/``count`` kernels on both
   levels, so int64 sums stay exact past 2^53 and an int32 column sums to
-  int64. Float sums are not compensated (pandas' are), so a float site
-  moves only where its output is rounded or its values are exact;
+  int64. Float sums are not compensated and their order depends on the
+  path and the blocks, so a float ``sum`` goes through ``combine`` only
+  when every partial sum is exact: whole numbers, dyadic weights, or
+  money held as integer cents (``relational._cents``);
 - empty input: zero rows, typed with the key and aggregate columns when
   Ray reports the input's schema without running it (a read, a
   materialized Dataset), and without columns otherwise;
 - every execution it starts is consumed (a materialize and one
-  ``ray.get`` of its blocks); it starts no actor;
-- callers that finish on the driver read the result with ``to_frame``:
-  ``Dataset.to_pandas()`` starts a Ray Data execution (~20 ms) even for
-  the in-memory result of the driver merge.
+  ``ray.get`` of its blocks); it starts no actor.
 
 Merges that keep another mechanism, and why:
 
@@ -91,6 +96,9 @@ Merges that keep another mechanism, and why:
 - ``Mean``/``Std`` (``mean_std_agg``, ``zscore_by_group``): Ray's
   aggregates keep their own float accumulation, which their oracles are
   rounded against;
+- float moment sums of off-grid products (``corr_by_group``,
+  ``moment_stats_by_group``: Σxy, Σy², Σxd, …): no integer grid holds
+  them, so they keep Ray's ``Sum`` merge and its summation order;
 - ``textops.export_roundtrip_manifest``: a checksum summed modulo 2^k;
 - global scalar ``ds.aggregate(...)``/``ds.sum(...)`` calls: one row, no
   key to merge on.
@@ -110,7 +118,8 @@ N_KEY_BUCKETS = 64
 
 #: target rows handed to ONE bucket worker as a single pandas frame —
 #: a few-hundred-MB frame for narrow event rows. Also the most partial rows
-#: ``combine`` merges on the driver. Tests patch it to force many tiny
+#: ``combine`` merges on the driver (NOTES "One partial-aggregate merge"
+#: times both paths). Tests patch it to force many tiny
 #: buckets and the co-group merge, and pin that results do not change.
 ROWS_PER_BUCKET = 2_000_000
 
@@ -303,21 +312,16 @@ def cogroup(sides, key: str, fn, *, sort_by=None):
 _MERGE_OP = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
 
 
-def combine(ds, keys, aggs: dict):
-    """Per-key ``sum``/``min``/``max``/``count`` of ``ds``: ``aggs`` maps
-    each output column to ``(input column, op)``; ``{}`` gives the distinct
-    keys. Returns a Dataset of the key columns, then ``aggs`` in order
-    (module docstring)."""
+def _merged(ds, keys: list, aggs: dict):
+    """``combine``'s merge: an Arrow table sorted by ``keys`` when the
+    partials fit in ``ROWS_PER_BUCKET`` rows, else the co-group Dataset."""
     import ray
-    import ray.data as rd
-
-    keys = [keys] if isinstance(keys, str) else list(keys)
 
     def grouped(t: pa.Table, specs) -> pa.Table:
         return t.group_by(keys, use_threads=False).aggregate(specs).rename_columns(keys + list(aggs))
 
     def partial_agg(t: pa.Table) -> pa.Table:
-        return grouped(t, list(aggs.values()))
+        return grouped(t, [([], "count_all") if op == "count" else (col, op) for col, op in aggs.values()])
 
     def merge(t: pa.Table) -> pa.Table:
         return grouped(t, [(out, _MERGE_OP[op]) for out, (_, op) in aggs.items()])
@@ -338,21 +342,50 @@ def combine(ds, keys, aggs: dict):
     if not tables:
         schema = getattr(ds.schema(fetch_if_missing=False), "base_schema", None)
         if not isinstance(schema, pa.Schema):
-            return rd.from_arrow(pa.table({}))
+            return pa.table({})
         tables = [partial_agg(schema.empty_table())]
     merged = merge(pa.concat_tables(tables, promote_options="permissive"))
-    return rd.from_arrow(merged.sort_by([(k, "ascending") for k in keys]))
+    return merged.sort_by([(k, "ascending") for k in keys])
 
 
-def to_frame(ds):
-    """All rows of ``ds`` as one pandas frame, read from its blocks.
-    ``Dataset.to_pandas()`` and ``to_arrow_refs()`` start a Ray Data
-    execution even for the in-memory result of ``combine``'s driver merge,
-    ~20 ms at any size: most of a sub-second query that finishes on the
-    driver. Executing the plan hands back an in-memory Dataset's blocks
-    without one, and runs a lazy one as ``to_pandas`` would."""
+def _slices(t: pa.Table, key: str, n: int) -> list:
+    """``t``, sorted on ``key``, cut into at most ``n`` slices of about equal
+    rows, each cut moved to the next change of ``key``."""
+    if n <= 1 or t.num_rows < 2:
+        return [t]
+    k = t.column(key).to_numpy(zero_copy_only=False)
+    changes = np.flatnonzero(k[1:] != k[:-1]) + 1  # first row of each new key
+    if len(changes) == 0:
+        return [t]
+    at = np.minimum(np.searchsorted(changes, np.arange(1, n) * t.num_rows // n), len(changes) - 1)
+    bounds = [0, *np.unique(changes[at]), t.num_rows]
+    return [t.slice(a, b - a) for a, b in zip(bounds, bounds[1:])]
+
+
+def combine(ds, keys, aggs: dict):
+    """Per-key ``sum``/``min``/``max``/``count`` of ``ds``: ``aggs`` maps
+    each output column to ``(input column, op)``, ``(None, "count")`` for a
+    row count; ``{}`` gives the distinct keys. Returns a Dataset of the key
+    columns, then ``aggs`` in order (module docstring)."""
     import ray
-    from ray.data.block import BlockAccessor
+    import ray.data as rd
 
-    tables = [BlockAccessor.for_block(b).to_arrow() for b in ray.get(ds._plan.execute().block_refs)]
-    return pa.concat_tables(tables, promote_options="permissive").to_pandas() if tables else ds.to_pandas()
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    merged = _merged(ds, keys, aggs)
+    if not isinstance(merged, pa.Table):
+        return merged
+    return rd.from_arrow(_slices(merged, keys[0], int(ray.cluster_resources().get("CPU", 1))))
+
+
+def combine_frame(ds, keys, aggs: dict):
+    """``combine`` read into one pandas frame sorted by ``keys``, for
+    callers that finish on the driver. The driver merge's table converts
+    directly, without a Ray Data execution."""
+    import ray
+
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    merged = _merged(ds, keys, aggs)
+    if not isinstance(merged, pa.Table):
+        tables = ray.get(merged.to_arrow_refs())
+        merged = pa.concat_tables(tables, promote_options="permissive").sort_by([(k, "ascending") for k in keys])
+    return merged.to_pandas()

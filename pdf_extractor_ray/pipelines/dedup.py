@@ -191,7 +191,7 @@ def _hot_int_keys(ds, key_fn) -> np.ndarray | None:
     def keys(t: pa.Table) -> pa.Table:
         return pa.table({"k": pa.array(key_fn(t), type=pa.int64())})
 
-    counts = combine(ds.map_batches(keys, batch_format="pyarrow"), "k", {"n": ("k", "count")})
+    counts = combine(ds.map_batches(keys, batch_format="pyarrow"), "k", {"n": (None, "count")})
     hot = counts.filter(expr="n >= 2").to_pandas()
     if len(hot) == 0:
         return None
@@ -756,7 +756,7 @@ def simhash_dup_groups(sf_dir: str):
     corpus-sized key space, and the >1 filter was a per-row Python
     lambda; it is now one filter expression over the merged rows."""
     groups = combine(
-        simhash_fingerprints(sf_dir), "simhash", {"n_docs": ("doc_id", "count"), "rep_doc": ("doc_id", "min")}
+        simhash_fingerprints(sf_dir), "simhash", {"n_docs": (None, "count"), "rep_doc": ("doc_id", "min")}
     )
     return groups.filter(expr="n_docs > 1")
 

@@ -115,7 +115,7 @@ def quality_by_host(extracted_ds):
         rows,
         "host",
         {
-            "n_pages": ("host", "count"),
+            "n_pages": (None, "count"),
             "n_ok": ("is_ok", "sum"),
             "n_error": ("is_error", "sum"),
             "n_empty": ("is_empty", "sum"),

@@ -156,4 +156,4 @@ def normalize_problems(sf_dir: str):
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    return combine(bad, ["source", "problem_reason"], {"n_rows": ("problem_reason", "count")})
+    return combine(bad, ["source", "problem_reason"], {"n_rows": (None, "count")})

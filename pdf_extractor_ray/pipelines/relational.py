@@ -31,7 +31,7 @@ from ..functions.quality import quality_features
 from ..functions.text import clean_description, keyword_filter_batch, standardize_column
 from ..functions.tokens import explode_tokens as explode_tokens_batch
 from ..functions.tokens import token_counts
-from .buckets import N_RANGE_BUCKETS, cogroup, combine, to_frame
+from .buckets import N_RANGE_BUCKETS, cogroup, combine, combine_frame
 
 EXCLUDE_KEYWORDS = ["slow", "error"]  # PERSONAL_EXPENSES-style exclusion vocab
 INCLUDE_KEYWORDS = ["merge", "join"]
@@ -45,14 +45,22 @@ def _read(sf_dir: str, table: str, columns: list[str] | None = None):
     return read_table(sf_dir, table, columns)
 
 
-def _round4(tbl: pa.Table, cols: list[str]) -> pa.Table:
+def _round4(tbl: pa.Table, cols) -> pa.Table:
     # np.round (scale→rint→unscale) lands on the same double as DuckDB's
     # ROUND-to-DECIMAL; pyarrow's pc.round does not (it can return the
-    # unrounded double for values like 109.53999999999999).
-    for c in cols:
-        v = tbl.column(c).to_numpy(zero_copy_only=False)
+    # unrounded double for values like 109.53999999999999). A dict maps
+    # each column to the scale of the exact integer sum it holds (cents:
+    # 100), divided out first.
+    for c, scale in (cols if isinstance(cols, dict) else dict.fromkeys(cols, 1)).items():
+        v = tbl.column(c).to_numpy(zero_copy_only=False) / scale
         tbl = tbl.set_column(tbl.column_names.index(c), c, pa.array(np.round(v, 4)))
     return tbl
+
+
+def _cents(col) -> np.ndarray:
+    """int64 hundredths of a 2-decimal column (prices, discounts): exact on
+    its grid, so sums of it are exact in any order."""
+    return np.floor(col.to_numpy(zero_copy_only=False) * 100.0 + 0.5).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +71,10 @@ def pricing_summary(sf_dir: str):
     """TPC-H-Q1-shaped rollup (per-source counts / amount rollups analog).
 
     ``combine``'s per-batch partial emits ≤|groups| rows per block, so only
-    partials reach the merge, never the fact table."""
+    partials reach the merge, never the fact table. Money sums are exact
+    integers (cents, and cents·(100 − discount %) for the discounted
+    price), so no summation order can move a rounded digit; quantities
+    are whole numbers, exact as doubles."""
     ds = _read(
         sf_dir,
         "lineitem",
@@ -71,9 +82,15 @@ def pricing_summary(sf_dir: str):
     )
 
     def disc(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "disc_price",
-            pc.multiply(batch.column("l_extendedprice"), pc.subtract(1.0, batch.column("l_discount"))),
+        cents = _cents(batch.column("l_extendedprice"))
+        return pa.table(
+            {
+                "l_returnflag": batch.column("l_returnflag"),
+                "l_linestatus": batch.column("l_linestatus"),
+                "l_quantity": batch.column("l_quantity"),
+                "base_c": pa.array(cents),
+                "disc_e4": pa.array(cents * (100 - _cents(batch.column("l_discount")))),
+            }
         )
 
     agg = combine(
@@ -81,13 +98,13 @@ def pricing_summary(sf_dir: str):
         ["l_returnflag", "l_linestatus"],
         {
             "sum_qty": ("l_quantity", "sum"),
-            "sum_base": ("l_extendedprice", "sum"),
-            "sum_disc_price": ("disc_price", "sum"),
-            "n_rows": ("l_returnflag", "count"),
+            "sum_base": ("base_c", "sum"),
+            "sum_disc_price": ("disc_e4", "sum"),
+            "n_rows": (None, "count"),
         },
     )
     return agg.map_batches(
-        lambda t: _round4(t, ["sum_qty", "sum_base", "sum_disc_price"]),
+        lambda t: _round4(t, {"sum_qty": 1, "sum_base": 100, "sum_disc_price": 10_000}),
         batch_format="pyarrow",
     )
 
@@ -99,7 +116,7 @@ def counts_by_source(sf_dir: str):
         ds,
         "source",
         {
-            "n_docs": ("source", "count"),
+            "n_docs": (None, "count"),
             "sum_chars": ("n_chars", "sum"),
             "min_chars": ("n_chars", "min"),
             "max_chars": ("n_chars", "max"),
@@ -116,7 +133,7 @@ def hash_bucket_counts(sf_dir: str):
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    return combine(buckets, "bucket", {"n_rows": ("bucket", "count")})
+    return combine(buckets, "bucket", {"n_rows": (None, "count")})
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +316,7 @@ def validity_split_problems(sf_dir: str):
     return combine(
         ds.map_batches(reasons, batch_format="pyarrow", zero_copy_batch=True),
         "reason",
-        {"n_rows": ("reason", "count")},
+        {"n_rows": (None, "count")},
     )
 
 
@@ -535,7 +552,7 @@ def token_stats_by_lang(sf_dir: str):
     return combine(
         ds.map_batches(n_tokens, batch_format="pyarrow", zero_copy_batch=True),
         "lang",
-        {"sum_tokens": ("n_tokens", "sum"), "n_docs": ("n_tokens", "count")},
+        {"sum_tokens": ("n_tokens", "sum"), "n_docs": (None, "count")},
     )
 
 
@@ -554,8 +571,8 @@ def quality_score(sf_dir: str):
 # ---------------------------------------------------------------------------
 
 def tumbling_window_agg(sf_dir: str):
-    """Tumbling 1-hour windows per user merged by ``combine``; window label
-    as ISO string (hash-stable)."""
+    """Tumbling 1-hour windows per user merged by ``combine``, values summed
+    in exact integer cents; window label as ISO string (hash-stable)."""
     ds = _read(sf_dir, "events", ["user_id", "ts", "value"])
 
     def window(t: pa.Table) -> pa.Table:
@@ -565,7 +582,7 @@ def tumbling_window_agg(sf_dir: str):
             pc.cast(pc.floor_temporal(t.column("ts"), unit="hour"), pa.timestamp("s")),
             pa.int64(),
         )
-        return pa.table({"user_id": t.column("user_id"), "ws_epoch": ws, "value": t.column("value")})
+        return pa.table({"user_id": t.column("user_id"), "ws_epoch": ws, "value": pa.array(_cents(t.column("value")))})
 
     def render(t: pa.Table) -> pa.Table:
         out = pa.table(
@@ -579,16 +596,14 @@ def tumbling_window_agg(sf_dir: str):
                 "n_events": t.column("n_events"),
             }
         )
-        return _round4(out, ["sum_value"])
+        return _round4(out, {"sum_value": 100})
 
     rows = ds.map_batches(window, batch_format="pyarrow", zero_copy_batch=True)
     return combine(rows, ["user_id", "ws_epoch"], _WINDOW_AGGS).map_batches(render, batch_format="pyarrow")
 
 
-#: per (user, window): summed value and event count. Float re-accumulation
-#: order differs between merge paths, which the shared 4-dp rounding of
-#: ``sum_value`` absorbs.
-_WINDOW_AGGS = {"sum_value": ("value", "sum"), "n_events": ("user_id", "count")}
+#: per (user, window): summed value, in exact integer cents, and event count
+_WINDOW_AGGS = {"sum_value": ("value", "sum"), "n_events": (None, "count")}
 
 
 def date_parse_cascade(sf_dir: str):
@@ -686,7 +701,7 @@ def host_counts_salted(sf_dir: str, salt_buckets: int = 8):
     phase1 = combine(
         docs.map_batches(salted, batch_format="pyarrow", zero_copy_batch=True),
         ["host", "salt"],
-        {"n": ("host", "count")},
+        {"n": (None, "count")},
     )
     return combine(phase1, "host", {"n_pages": ("n", "sum")})
 
@@ -713,7 +728,7 @@ def sliding_window_agg(sf_dir: str):
                     {
                         "user_id": t.column("user_id"),
                         "ws_epoch": pc.subtract(floored, pa.scalar(k * 3600, pa.int64())),
-                        "value": t.column("value"),
+                        "value": pa.array(_cents(t.column("value"))),
                     }
                 )
             )
@@ -731,7 +746,7 @@ def sliding_window_agg(sf_dir: str):
                 "n_events": t.column("n_events"),
             }
         )
-        return _round4(out, ["sum_value"])
+        return _round4(out, {"sum_value": 100})
 
     rows = ds.map_batches(expand, batch_format="pyarrow", zero_copy_batch=True)
     return combine(rows, ["user_id", "ws_epoch"], _WINDOW_AGGS).map_batches(render, batch_format="pyarrow")
@@ -888,14 +903,20 @@ def quality_filter_rules(sf_dir: str):
 
 
 def part_brand_stats(sf_dir: str):
-    """Catalog rollup over the part table (per-source stats family)."""
+    """Catalog rollup over the part table (per-source stats family); the
+    price sum is exact integer cents."""
     ds = _read(sf_dir, "part", ["p_brand", "p_retailprice", "p_size"])
+
+    def cents(t: pa.Table) -> pa.Table:
+        i = t.column_names.index("p_retailprice")
+        return t.set_column(i, "p_retailprice", pa.array(_cents(t.column("p_retailprice"))))
+
     agg = combine(
-        ds,
+        ds.map_batches(cents, batch_format="pyarrow", zero_copy_batch=True),
         "p_brand",
-        {"n_parts": ("p_brand", "count"), "sum_price": ("p_retailprice", "sum"), "sum_size": ("p_size", "sum")},
+        {"n_parts": (None, "count"), "sum_price": ("p_retailprice", "sum"), "sum_size": ("p_size", "sum")},
     )
-    return agg.map_batches(lambda t: _round4(t, ["sum_price"]), batch_format="pyarrow")
+    return agg.map_batches(lambda t: _round4(t, {"sum_price": 100}), batch_format="pyarrow")
 
 
 def supplier_enrich(sf_dir: str):
@@ -1006,29 +1027,37 @@ def rank_in_group(sf_dir: str):
 
 def corr_by_group(sf_dir: str):
     """Pearson correlation per group via MERGEABLE MOMENTS: each batch emits
-    partial (n, Σx, Σy, Σxy, Σx², Σy²) per key; ``combine`` merges and
+    partial (n, Σx, Σy, Σxy, Σx², Σy²) per key; one small groupby merges and
     the closed form finishes — the pattern for any algebraic statistic at
     scale (no per-group row collection)."""
+    from ray.data.aggregate import Sum
+
     ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_quantity", "l_extendedprice"])
 
     def moments(t: pa.Table) -> pa.Table:
         x = t.column("l_quantity")
         y = t.column("l_extendedprice")
-        return pa.table(
+        tt = pa.table(
             {
                 "l_returnflag": t.column("l_returnflag"),
-                "x": x,
-                "y": y,
-                "xy": pc.multiply(x, y),
-                "xx": pc.multiply(x, x),
-                "yy": pc.multiply(y, y),
+                "n": pa.array(np.ones(t.num_rows, dtype=np.int64)),
+                "sx": x,
+                "sy": y,
+                "sxy": pc.multiply(x, y),
+                "sxx": pc.multiply(x, x),
+                "syy": pc.multiply(y, y),
             }
         )
+        return (
+            tt.group_by("l_returnflag")
+            .aggregate([(c, "sum") for c in ("n", "sx", "sy", "sxy", "sxx", "syy")])
+            .rename_columns(["l_returnflag", "n", "sx", "sy", "sxy", "sxx", "syy"])
+        )
 
-    agg = combine(
-        ds.map_batches(moments, batch_format="pyarrow", zero_copy_batch=True),
-        "l_returnflag",
-        {"n": ("x", "count"), **{f"s{c}": (c, "sum") for c in ("x", "y", "xy", "xx", "yy")}},
+    agg = (
+        ds.map_batches(moments, batch_format="pyarrow", zero_copy_batch=True)
+        .groupby("l_returnflag")
+        .aggregate(*[Sum(c, alias_name=c) for c in ("n", "sx", "sy", "sxy", "sxx", "syy")])
     )
 
     def finish(t: pa.Table) -> pa.Table:
@@ -1481,7 +1510,7 @@ def approx_quantile_hist(sf_dir: str, qs=(0.5, 0.9, 0.99), n_bins: int = 4096):
 
     # ≤ n_bins scalars — the only thing the driver sees
     bins = ds.map_batches(hist_partial, batch_format="pyarrow", zero_copy_batch=True)
-    hist = to_frame(combine(bins, "bin_id", {"n": ("n", "sum")})).sort_values("bin_id")
+    hist = combine_frame(bins, "bin_id", {"n": ("n", "sum")})
     cdf = np.cumsum(hist["n"].to_numpy())
     total = int(cdf[-1])
     rows = []
@@ -1543,9 +1572,9 @@ def rollup_counts(sf_dir: str):
     """GROUP BY ROLLUP(status, priority): all three granularities — (s, p),
     (s, NULL), (NULL, NULL) — from ONE pass. The finest aggregate is the
     only thing computed from data (``_status_priority_fine``); the coarser
-    levels are derived from the UNROUNDED finest sums driver-side (15
-    rows), summed in sorted key order so float reduction is deterministic;
-    every level rounds once at the end."""
+    levels are derived from the finest sums driver-side (15 rows), summed
+    as exact integer cents; every level divides and rounds once at the
+    end."""
     fine = _status_priority_fine(sf_dir)
     lvl2 = pd.DataFrame(
         {
@@ -1571,12 +1600,12 @@ def rollup_counts(sf_dir: str):
             "o_orderstatus": [None],
             "o_orderpriority": [None],
             "n": [int(fine["pn"].sum())],
-            "_sum": [float(by_s["psum"].sum())],
+            "_sum": [int(by_s["psum"].sum())],
         }
     )
     out = pd.concat([lvl2, lvl1, lvl0], ignore_index=True)
     out["n"] = out["n"].astype(np.int64)
-    out["sum_price"] = np.round(out.pop("_sum").to_numpy(dtype=np.float64), 2)
+    out["sum_price"] = np.round(out.pop("_sum").to_numpy(dtype=np.float64) / 100.0, 2)
     return out
 
 
@@ -1913,7 +1942,7 @@ def moment_stats_by_group(sf_dir: str):
     """Higher-moment statistics per group — skewness, excess kurtosis,
     sample covariance and regression slope — via MERGEABLE RAW POWER SUMS:
     each batch emits one partial row per key (n, Σx..Σx⁴, Σd, Σxd, Σp, Σxp),
-    ``combine`` merges them, and the closed forms finish driver-side-free.
+    a small groupby merges, and the closed forms finish driver-side-free.
     Same algebraic-statistic shape as ``corr_by_group``; the whole value
     column never shuffles. Formulas match DuckDB's bias-corrected
     ``skewness``/``kurtosis`` (adjusted Fisher–Pearson G1; sample excess G2)
@@ -1924,35 +1953,44 @@ def moment_stats_by_group(sf_dir: str):
     representable in doubles at any realistic group size; never feed raw
     power sums a column with 1e5-magnitude values (center first instead).
     """
+    from ray.data.aggregate import Sum
+
     ds = _read(
         sf_dir,
         "lineitem",
         ["l_returnflag", "l_quantity", "l_discount", "l_extendedprice"],
     )
+    SUMS = ("n", "sx", "sx2", "sx3", "sx4", "sd", "sxd", "sp", "sxp")
 
-    def powers(t: pa.Table) -> pa.Table:
+    def partial(t: pa.Table) -> pa.Table:
         x = t.column("l_quantity")
         d = t.column("l_discount")
         p = t.column("l_extendedprice")
         x2 = pc.multiply(x, x)
-        return pa.table(
+        tt = pa.table(
             {
                 "l_returnflag": t.column("l_returnflag"),
-                "x": x,
-                "x2": x2,
-                "x3": pc.multiply(x2, x),
-                "x4": pc.multiply(x2, x2),
-                "d": d,
-                "xd": pc.multiply(x, d),
-                "p": p,
-                "xp": pc.multiply(x, p),
+                "n": pa.array(np.ones(t.num_rows, dtype=np.int64)),
+                "sx": x,
+                "sx2": x2,
+                "sx3": pc.multiply(x2, x),
+                "sx4": pc.multiply(x2, x2),
+                "sd": d,
+                "sxd": pc.multiply(x, d),
+                "sp": p,
+                "sxp": pc.multiply(x, p),
             }
         )
+        return (
+            tt.group_by("l_returnflag")
+            .aggregate([(c, "sum") for c in SUMS])
+            .rename_columns(["l_returnflag", *SUMS])
+        )
 
-    agg = combine(
-        ds.map_batches(powers, batch_format="pyarrow", zero_copy_batch=True),
-        "l_returnflag",
-        {"n": ("x", "count"), **{f"s{c}": (c, "sum") for c in ("x", "x2", "x3", "x4", "d", "xd", "p", "xp")}},
+    agg = (
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+        .groupby("l_returnflag")
+        .aggregate(*[Sum(c, alias_name=c) for c in SUMS])
     )
 
     def finish(t: pa.Table) -> pa.Table:
@@ -1994,7 +2032,7 @@ def entropy_by_group(sf_dir: str):
     entropy finish runs vectorized on that tiny table in one final batch —
     the full text/lang column never shuffles."""
     ds = _read(sf_dir, "documents", ["source", "lang"])
-    counts = combine(ds, ["source", "lang"], {"n": ("source", "count")})
+    counts = combine(ds, ["source", "lang"], {"n": (None, "count")})
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         # dimension-sized table (sources × langs): single-batch vectorized
@@ -2439,15 +2477,19 @@ def percent_rank_in_group(sf_dir: str):
 def _status_priority_fine(sf_dir: str) -> "pd.DataFrame":
     """Shared finest-level (status, priority) partial-sum pass for the
     CUBE / GROUPING SETS family: per-batch partials → tiny |s|×|p| merge,
-    returned sorted so driver-side level derivation is order-stable."""
+    returned sorted so driver-side level derivation is order-stable.
+    ``psum`` is exact integer cents; callers divide once, after the levels
+    are summed."""
     ds = _read(sf_dir, "orders", ["o_orderstatus", "o_orderpriority", "o_totalprice"])
-    return (
-        to_frame(combine(
-            ds,
-            ["o_orderstatus", "o_orderpriority"],
-            {"psum": ("o_totalprice", "sum"), "pn": ("o_orderstatus", "count")},
-        ))
-        .sort_values(["o_orderstatus", "o_orderpriority"], kind="stable")
+
+    def cents(t: pa.Table) -> pa.Table:
+        i = t.column_names.index("o_totalprice")
+        return t.set_column(i, "o_totalprice", pa.array(_cents(t.column("o_totalprice"))))
+
+    return combine_frame(
+        ds.map_batches(cents, batch_format="pyarrow", zero_copy_batch=True),
+        ["o_orderstatus", "o_orderpriority"],
+        {"psum": ("o_totalprice", "sum"), "pn": (None, "count")},
     )
 
 
@@ -2455,8 +2497,8 @@ def cube_counts(sf_dir: str):
     """GROUP BY CUBE(status, priority) — all four grouping sets from the
     same ONE finest-level pass as ``rollup_counts`` (per-batch partials →
     tiny |s|×|p| merge); the (NULL, p), (s, NULL) and (NULL, NULL) levels
-    are derived driver-side from the UNROUNDED finest sums in sorted key
-    order, and every level rounds once at the end."""
+    are derived driver-side from the finest sums in exact integer cents,
+    and every level divides and rounds once at the end."""
     fine = _status_priority_fine(sf_dir)
 
     def level(df, s_col, p_col):
@@ -2487,12 +2529,12 @@ def cube_counts(sf_dir: str):
             "o_orderstatus": [None],
             "o_orderpriority": [None],
             "n": [int(fine["pn"].sum())],
-            "_sum": [float(by_s["psum"].sum())],
+            "_sum": [int(by_s["psum"].sum())],
         }
     )
     out = pd.concat([lvl_sp, lvl_s, lvl_p, lvl_0], ignore_index=True)
     out["n"] = out["n"].astype(np.int64)
-    out["sum_price"] = np.round(out.pop("_sum").to_numpy(dtype=np.float64), 2)
+    out["sum_price"] = np.round(out.pop("_sum").to_numpy(dtype=np.float64) / 100.0, 2)
     return out
 
 
@@ -2806,7 +2848,7 @@ def interval_islands(sf_dir: str, gap_s: int = 300):
 def _range_bucket_counts(bucketed) -> np.ndarray:
     """Rows per range bucket ``0..N_RANGE_BUCKETS-1`` of a Dataset with a
     ``_bucket`` column, counted by ``combine``."""
-    c = to_frame(combine(bucketed, "_bucket", {"n": ("_bucket", "count")}))
+    c = combine_frame(bucketed, "_bucket", {"n": (None, "count")})
     return c.set_index("_bucket")["n"].reindex(range(N_RANGE_BUCKETS), fill_value=0).to_numpy()
 
 
@@ -3362,7 +3404,7 @@ def benford_first_digit(sf_dir: str):
         return pa.table({"digit": pa.array(v, pa.int64())})
 
     digits = ds.map_batches(first_digit, batch_format="pyarrow", zero_copy_batch=True)
-    return to_frame(combine(digits, "digit", {"n": ("digit", "count")}))
+    return combine_frame(digits, "digit", {"n": (None, "count")})
 
 
 def winsorized_mean_by_group(sf_dir: str, q_lo=(1, 10), q_hi=(9, 10)):
@@ -3454,13 +3496,10 @@ def chi2_independence(sf_dir: str):
             }
         )
 
-    c = (
-        to_frame(combine(
-            ds.map_batches(cohort, batch_format="pyarrow", zero_copy_batch=True),
-            ["event_type", "cohort"],
-            {"o": ("cohort", "count")},
-        ))
-        .sort_values(["event_type", "cohort"])
+    c = combine_frame(
+        ds.map_batches(cohort, batch_format="pyarrow", zero_copy_batch=True),
+        ["event_type", "cohort"],
+        {"o": (None, "count")},
     )
     o = c["o"].to_numpy(dtype=np.float64)
     rt = c.groupby("event_type")["o"].transform("sum").to_numpy(dtype=np.float64)
@@ -3717,11 +3756,11 @@ def decayed_count_by_type(sf_dir: str):
         w = np.ldexp(1.0, -age)  # exact dyadic weights
         return pa.table({"event_type": t.column("event_type"), "w": pa.array(w)})
 
-    return to_frame(combine(
+    return combine_frame(
         ds.map_batches(weight, batch_format="pyarrow", zero_copy_batch=True),
         "event_type",
-        {"decayed_count": ("w", "sum"), "n": ("w", "count")},
-    ))
+        {"decayed_count": ("w", "sum"), "n": (None, "count")},
+    )
 
 
 def word_len_stats_by_source(sf_dir: str):
@@ -3747,11 +3786,11 @@ def word_len_stats_by_source(sf_dir: str):
             }
         )
 
-    a = to_frame(combine(
+    a = combine_frame(
         ds.map_batches(word_bytes, batch_format="pyarrow", zero_copy_batch=True),
         "source",
         {"nw": ("nw", "sum"), "nc": ("nc", "sum")},
-    ))
+    )
     ratio = a["nc"].to_numpy(dtype=np.float64) / a["nw"].to_numpy(dtype=np.float64)
     return pd.DataFrame(
         {
@@ -3808,7 +3847,7 @@ def exact_distinct_tokens_by_source(sf_dir: str):
 
     pairs = ds.map_batches(pair_partial, batch_format="pyarrow", zero_copy_batch=True)
     parts = cogroup(pairs, "token", count_in_bucket)
-    return to_frame(combine(parts, "source", {"n_distinct_tokens": ("n", "sum")}))
+    return combine_frame(parts, "source", {"n_distinct_tokens": ("n", "sum")})
 
 
 def rolling_extremes_per_user(sf_dir: str, window: int = 3):
@@ -3845,11 +3884,11 @@ def revenue_share_by_priority(sf_dir: str):
         c = np.round(t.column("o_totalprice").to_numpy(zero_copy_only=False) * 100.0).astype(np.int64)
         return pa.table({"o_orderpriority": t.column("o_orderpriority"), "c": pa.array(c)})
 
-    a = to_frame(combine(
+    a = combine_frame(
         ds.map_batches(cents, batch_format="pyarrow", zero_copy_batch=True),
         "o_orderpriority",
         {"c": ("c", "sum")},
-    ))
+    )
     total = float(a["c"].sum())
     share = a["c"].to_numpy(dtype=np.float64) / total
     return pd.DataFrame(
@@ -3883,16 +3922,16 @@ def burst_detection_windows(sf_dir: str):
         return pa.table({"event_type": t.column("event_type"), "wm": pa.array(ts.astype(np.int64) // MIN_US)})
 
     rows = ds.map_batches(minute, batch_format="pyarrow", zero_copy_batch=True)
-    windows = combine(rows, ["event_type", "wm"], {"n": ("wm", "count")}).materialize()
+    windows = combine(rows, ["event_type", "wm"], {"n": (None, "count")}).materialize()
 
     def square(t: pa.Table) -> pa.Table:
         return t.append_column("n2", pc.multiply(t.column("n"), t.column("n")))
 
-    st = to_frame(combine(
+    st = combine_frame(
         windows.map_batches(square, batch_format="pyarrow", zero_copy_batch=True),
         "event_type",
-        {"sc": ("n", "sum"), "sc2": ("n2", "sum"), "nw": ("n", "count")},
-    ))
+        {"sc": ("n", "sum"), "sc2": ("n2", "sum"), "nw": (None, "count")},
+    )
     thr = {}
     for et, sc, sc2, nw in st.itertuples(index=False):
         mean = float(sc) / float(nw)
@@ -4044,7 +4083,7 @@ def campaign_exposure_seconds(sf_dir: str, gap_s: int = 300):
 
     parts = cogroup(ds, "user_id", exposure_b, sort_by=["user_id", "ts", "event_id"])
     sums = {"exposure_us": ("exposure_us", "sum"), "n_islands": ("n_islands", "sum")}
-    return to_frame(combine(parts, "campaign_id", sums))
+    return combine_frame(parts, "campaign_id", sums)
 
 
 def topk_with_ties_per_group(sf_dir: str, k: int = 2):
@@ -4096,9 +4135,9 @@ def weekly_revenue_wow(sf_dir: str):
         ).astype(np.int64)
         return pa.table({"wk": pa.array(wk), "c": pa.array(cents)})
 
-    agg = to_frame(combine(
+    agg = combine_frame(
         ds.map_batches(week_cents, batch_format="pyarrow", zero_copy_batch=True), "wk", {"c": ("c", "sum")}
-    ))
+    )
     weeks = agg["wk"].to_numpy(dtype=np.int64)
     cents = agg["c"].to_numpy(dtype=np.int64)
     prev = np.concatenate(([0], cents[:-1]))
@@ -4134,7 +4173,7 @@ def user_journey_signatures(sf_dir: str, k: int = 5, top_n: int = 20):
         )
 
     parts = cogroup(ds, "user_id", sigs, sort_by=["user_id", "ts", "event_id"])
-    agg = to_frame(combine(parts, "signature", {"n_users": ("n_users", "sum")}))
+    agg = combine_frame(parts, "signature", {"n_users": ("n_users", "sum")})
     return (
         agg.sort_values(["n_users", "signature"], ascending=[False, True], kind="mergesort")
         .head(top_n)
@@ -4247,12 +4286,10 @@ def histogram_orders_cents(sf_dir: str, bin_cents: int = 1_000_000):
     ds = _read(sf_dir, "orders", ["o_totalprice"])
 
     def to_bin(t: pa.Table) -> pa.Table:
-        p = t.column("o_totalprice").to_numpy(zero_copy_only=False)
-        cents = np.floor(p * 100.0 + 0.5).astype(np.int64)  # exact 2-dec grid
-        return pa.table({"bin": pa.array(cents // bin_cents)})
+        return pa.table({"bin": pa.array(_cents(t.column("o_totalprice")) // bin_cents)})
 
     out = combine(
-        ds.map_batches(to_bin, batch_format="pyarrow", zero_copy_batch=True), "bin", {"n_orders": ("bin", "count")}
+        ds.map_batches(to_bin, batch_format="pyarrow", zero_copy_batch=True), "bin", {"n_orders": (None, "count")}
     )
     return out.map_batches(
         lambda t: pa.table(
@@ -4290,10 +4327,8 @@ def iqr_outliers_by_priority(sf_dir: str):
     ds = _read(sf_dir, "orders", ["o_orderpriority", "o_totalprice"])
 
     def to_cents(t: pa.Table) -> pa.Table:
-        p = t.column("o_totalprice").to_numpy(zero_copy_only=False)
-        cents = np.floor(p * 100.0 + 0.5).astype(np.int64)
         return pa.table(
-            {"o_orderpriority": t.column("o_orderpriority"), "cents": pa.array(cents)}
+            {"o_orderpriority": t.column("o_orderpriority"), "cents": pa.array(_cents(t.column("o_totalprice")))}
         )
 
     # two consumers (quantile pick, outlier count) — materialize the cents
@@ -4334,7 +4369,7 @@ def iqr_outliers_by_priority(sf_dir: str):
         )
 
     parts = cds.map_batches(count_part, batch_format="pyarrow", zero_copy_batch=True)
-    tot = to_frame(combine(parts, "o_orderpriority", {"n": ("n", "sum")})).set_index("o_orderpriority")["n"]
+    tot = combine_frame(parts, "o_orderpriority", {"n": ("n", "sum")}).set_index("o_orderpriority")["n"]
     return pd.DataFrame(
         {
             "o_orderpriority": fences["o_orderpriority"].to_numpy(),
@@ -4625,7 +4660,7 @@ def kmv_user_overlap(sf_dir: str, k: int = 256):
     per_bucket = cogroup(
         ds.map_batches(mask_partial, batch_format="pyarrow", zero_copy_batch=True), "user_id", combo_counts
     )
-    combos = to_frame(combine(per_bucket, "mask", {"n_users": ("n_users", "sum")}))
+    combos = combine_frame(per_bucket, "mask", {"n_users": ("n_users", "sum")})
     cm = combos["mask"].to_numpy(dtype=np.int64)
     cn = combos["n_users"].to_numpy(dtype=np.int64)
 
@@ -4744,9 +4779,7 @@ def rfm_quartile_segments(sf_dir: str):
                 .to_numpy(zero_copy_only=False)
                 .astype("datetime64[us]")
                 .astype(np.int64),
-                "cents": np.floor(
-                    t.column("o_totalprice").to_numpy(zero_copy_only=False) * 100.0 + 0.5
-                ).astype(np.int64),
+                "cents": _cents(t.column("o_totalprice")),
             }
         )
         g = df.groupby("ck", sort=False).agg(
@@ -4813,8 +4846,8 @@ def grouping_sets_counts(sf_dir: str):
     rolled-up NULL from a data NULL (gid = GROUPING(status)·2 +
     GROUPING(priority): 1 for the status rows, 2 for priority, 3 for the
     grand total). Same one finest-pass machinery as cube_counts
-    (`_status_priority_fine`); levels derive driver-side from unrounded
-    sums in sorted key order, one ROUND at the end."""
+    (`_status_priority_fine`); levels derive driver-side from exact
+    integer-cent sums, one division and ROUND at the end."""
     fine = _status_priority_fine(sf_dir)
 
     by_s = (
@@ -4843,11 +4876,11 @@ def grouping_sets_counts(sf_dir: str):
         [
             level(by_s["o_orderstatus"].to_numpy(), None, 1, by_s["pn"], by_s["psum"]),
             level(None, by_p["o_orderpriority"].to_numpy(), 2, by_p["pn"], by_p["psum"]),
-            level([None], [None], 3, [int(fine["pn"].sum())], [float(by_s["psum"].sum())]),
+            level([None], [None], 3, [int(fine["pn"].sum())], [int(by_s["psum"].sum())]),
         ],
         ignore_index=True,
     )
-    out["sum_price"] = np.round(out.pop("_sum").to_numpy(dtype=np.float64), 2)
+    out["sum_price"] = np.round(out.pop("_sum").to_numpy(dtype=np.float64) / 100.0, 2)
     return out
 
 
@@ -4916,9 +4949,7 @@ def clv_by_segment(sf_dir: str):
                 .to_numpy(zero_copy_only=False)
                 .astype("datetime64[us]")
                 .astype(np.int64),
-                "cents": np.floor(
-                    t.column("o_totalprice").to_numpy(zero_copy_only=False) * 100.0 + 0.5
-                ).astype(np.int64),
+                "cents": _cents(t.column("o_totalprice")),
             }
         )
         g = df.groupby("key", sort=False).agg(
@@ -4968,7 +4999,7 @@ def clv_by_segment(sf_dir: str):
     facts = orders.map_batches(fact_partial, batch_format="pyarrow", zero_copy_batch=True)
     parts = cogroup([facts, cust.rename_columns({"c_custkey": "key"})], "key", seg_partial)
     sums = {c: (c, "sum") for c in ("n_customers", "sum_orders", "sum_cents", "sum_tenure")}
-    s = to_frame(combine(parts, "seg", sums))
+    s = combine_frame(parts, "seg", sums)
     # integer/integer ratios can land on binary-exact .5e-4 ties where
     # np.round (banker's) diverges from DuckDB ROUND (half-away) — the
     # repetition_signals rule (NOTES r3): round half-away explicitly.
@@ -5048,8 +5079,7 @@ def interevent_gap_histogram(sf_dir: str):
         )
 
     parts = cogroup(ds, "user_id", gaps, sort_by=["user_id", "ts", "event_id"])
-    out = to_frame(combine(parts, ["event_type", "gap_digits"], {"n": ("n", "sum")}))
-    return out.sort_values(["event_type", "gap_digits"]).reset_index(drop=True)
+    return combine_frame(parts, ["event_type", "gap_digits"], {"n": ("n", "sum")})
 
 
 def vocab_oov_rate(sf_dir: str, k_vocab: int = 20):
@@ -5147,7 +5177,7 @@ def median_gap_by_type(sf_dir: str):
         )
 
     parts = cogroup(ds, "user_id", gap_counts, sort_by=["user_id", "ts", "event_id"])
-    merged = to_frame(combine(parts, ["event_type", "gap_s"], {"n": ("n", "sum")}))
+    merged = combine_frame(parts, ["event_type", "gap_s"], {"n": ("n", "sum")})
     rows = []
     for et, g in merged.groupby("event_type", sort=True):
         g = g.sort_values("gap_s")
@@ -5173,8 +5203,9 @@ def _cents_per_customer(sf_dir: str):
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
     def cents(t: pa.Table) -> pa.Table:
-        c = np.floor(t.column("o_totalprice").to_numpy(zero_copy_only=False) * 100.0 + 0.5)
-        return pa.table({"ck": pc.cast(t.column("o_custkey"), pa.int64()), "cents": pa.array(c.astype(np.int64))})
+        return pa.table(
+            {"ck": pc.cast(t.column("o_custkey"), pa.int64()), "cents": pa.array(_cents(t.column("o_totalprice")))}
+        )
 
     rows = orders.map_batches(cents, batch_format="pyarrow", zero_copy_batch=True)
     return combine(rows, "ck", {"cents": ("cents", "sum")}).materialize()
@@ -5245,18 +5276,16 @@ def weekday_seasonality(sf_dir: str):
             .astype(np.int64)
         )
         wd = (us // DAY_US + 4) % 7
-        cents = np.floor(
-            t.column("o_totalprice").to_numpy(zero_copy_only=False) * 100.0 + 0.5
-        ).astype(np.int64)
+        cents = _cents(t.column("o_totalprice"))
         return pa.table(
             {"weekday": pa.array(wd), "o_orderpriority": t.column("o_orderpriority"), "cents": pa.array(cents)}
         )
 
-    parts = to_frame(combine(
+    parts = combine_frame(
         ds.map_batches(weekday_cents, batch_format="pyarrow", zero_copy_batch=True),
         ["weekday", "o_orderpriority"],
-        {"n_orders": ("cents", "count"), "cents": ("cents", "sum")},
-    ))
+        {"n_orders": (None, "count"), "cents": ("cents", "sum")},
+    )
     out = pd.DataFrame(
         {
             "weekday": parts["weekday"],
@@ -5298,12 +5327,11 @@ def null_profile(sf_dir: str):
             }
         )
 
-    parts = to_frame(combine(
+    return combine_frame(
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
         "column",
         {c: (c, "sum") for c in ("n_rows", "n_null", "n_blank")},
-    ))
-    return parts.sort_values("column").reset_index(drop=True)
+    )
 
 
 def gini_revenue_index(sf_dir: str):
@@ -5485,9 +5513,7 @@ def market_share_by_year(sf_dir: str, nation: str = "NATION_3"):
     def li_rows(t: pa.Table) -> pa.Table:
         keys = ray.get(tgt_ref)
         k = t.column("l_orderkey").to_numpy(zero_copy_only=False).astype(np.int64)
-        cents = np.floor(
-            t.column("l_extendedprice").to_numpy(zero_copy_only=False) * 100.0 + 0.5
-        ).astype(np.int64)
+        cents = _cents(t.column("l_extendedprice"))
         bp = np.floor(
             t.column("l_discount").to_numpy(zero_copy_only=False) * 10000.0 + 0.5
         ).astype(np.int64)
@@ -5524,7 +5550,7 @@ def market_share_by_year(sf_dir: str, nation: str = "NATION_3"):
         li.map_batches(li_rows, batch_format="pyarrow", zero_copy_batch=True),
     ]
     parts = cogroup(sides, "key", join_bucket)
-    a = to_frame(combine(parts, "o_year", {"rev_all": ("rev_all", "sum"), "rev_tgt": ("rev_tgt", "sum")}))
+    a = combine_frame(parts, "o_year", {"rev_all": ("rev_all", "sum"), "rev_tgt": ("rev_tgt", "sum")})
     share = np.floor(
         a["rev_tgt"].to_numpy(dtype=np.float64) / a["rev_all"].to_numpy(dtype=np.float64) * 1e6
         + 0.5
@@ -5594,11 +5620,11 @@ def syllable_stats_by_source(sf_dir: str):
             }
         )
 
-    parts = to_frame(combine(
+    parts = combine_frame(
         ds.map_batches(counts, batch_format="pyarrow", zero_copy_batch=True),
         "source",
-        {"n_docs": ("n_words", "count"), **{c: (c, "sum") for c in ("n_words", "n_syllables", "n_mono")}},
-    ))
+        {"n_docs": (None, "count"), **{c: (c, "sum") for c in ("n_words", "n_syllables", "n_mono")}},
+    )
     parts["forcast_grade"] = 20.0 - 15.0 * (
         parts["n_mono"].to_numpy(dtype=np.float64) / parts["n_words"].to_numpy(dtype=np.float64)
     )
@@ -5619,8 +5645,8 @@ def customer_order_distribution(sf_dir: str):
     anti-join materializes. All integers end to end."""
     orders = _read(sf_dir, "orders", ["o_custkey"])
     n_customers = _read(sf_dir, "customer", ["c_custkey"]).count()
-    percust = combine(orders, "o_custkey", {"c_count": ("o_custkey", "count")})
-    parts = to_frame(combine(percust, "c_count", {"n_customers": ("c_count", "count")}))
+    percust = combine(orders, "o_custkey", {"c_count": (None, "count")})
+    parts = combine_frame(percust, "c_count", {"n_customers": (None, "count")})
     n_with_orders = int(parts["n_customers"].sum())
     zero = n_customers - n_with_orders
     if zero > 0:
@@ -5663,9 +5689,7 @@ def promo_revenue_by_type(sf_dir: str):
     def grid_partial(t: pa.Table) -> pa.Table:
         keys, codes = ray.get(lut_ref)
         k = t.column("l_partkey").to_numpy(zero_copy_only=False).astype(np.int64)
-        cents = np.floor(
-            t.column("l_extendedprice").to_numpy(zero_copy_only=False) * 100.0 + 0.5
-        ).astype(np.int64)
+        cents = _cents(t.column("l_extendedprice"))
         bp = np.floor(
             t.column("l_discount").to_numpy(zero_copy_only=False) * 10000.0 + 0.5
         ).astype(np.int64)
@@ -5682,11 +5706,11 @@ def promo_revenue_by_type(sf_dir: str):
             }
         )
 
-    parts = to_frame(combine(
+    parts = combine_frame(
         li.map_batches(grid_partial, batch_format="pyarrow", zero_copy_batch=True),
         "_code",
         {"revenue_e6": ("revenue_e6", "sum"), "n_items": ("n_items", "sum")},
-    ))
+    )
     total = int(parts["revenue_e6"].sum())
     share = np.floor(
         parts["revenue_e6"].to_numpy(dtype=np.float64) / float(total) * 1e6 + 0.5
@@ -5749,9 +5773,9 @@ def dau_engagement_by_month(sf_dir: str):
             }
         )
 
-    out = to_frame(combine(
+    out = combine_frame(
         cogroup(dd, "user_id", month_grid), "ym", {"n_user_days": ("n_user_days", "sum"), "mau": ("mau", "sum")}
-    ))
+    )
     out["avg_active_days"] = np.floor(
         out["n_user_days"].to_numpy(dtype=np.float64)
         / out["mau"].to_numpy(dtype=np.float64)
@@ -5835,7 +5859,7 @@ def unshipped_backlog_by_priority(sf_dir: str):
         li.map_batches(li_rows, batch_format="pyarrow", zero_copy_batch=True),
     ]
     sums = {c: (c, "sum") for c in ("n_orders", "n_items", "revenue_e6")}
-    return to_frame(combine(cogroup(sides, "key", join_bucket), "o_orderpriority", sums))
+    return combine_frame(cogroup(sides, "key", join_bucket), "o_orderpriority", sums)
 
 
 def hapax_ratio_by_source(sf_dir: str):
@@ -5894,11 +5918,11 @@ def hapax_ratio_by_source(sf_dir: str):
         )
 
     pairs = ds.map_batches(pair_partial, batch_format="pyarrow", zero_copy_batch=True)
-    out = to_frame(combine(
+    out = combine_frame(
         cogroup(pairs, "token", classify_in_bucket),
         "source",
         {"n_vocab": ("n_vocab", "sum"), "n_hapax": ("n_hapax", "sum")},
-    ))
+    )
     out["hapax_ratio"] = np.floor(
         out["n_hapax"].to_numpy(dtype=np.float64) / out["n_vocab"].to_numpy(dtype=np.float64) * 1e6
         + 0.5

@@ -28,7 +28,7 @@ import pyarrow.compute as pc
 
 from ..functions.tokens import explode_tokens as explode_tokens_batch
 from ..functions.tokens import split_ws
-from .buckets import cogroup, combine, to_frame
+from .buckets import cogroup, combine, combine_frame
 
 
 def _read(sf_dir: str, table: str, columns=None):
@@ -166,7 +166,7 @@ def bm25_search(
     n = float(stats["tf"].sum())
     avgdl = float(stats["dl"].sum()) / n
     docs = hit_ds.filter(expr="term != ''")
-    df_rows = to_frame(combine(docs, "term", {"n": ("term", "count")}))
+    df_rows = combine_frame(docs, "term", {"n": (None, "count")})
     dfs = dict(zip(df_rows["term"], df_rows["n"].astype(np.float64)))
     idf = {
         t: float(np.log((n - dfs.get(t, 0.0) + 0.5) / (dfs.get(t, 0.0) + 0.5) + 1.0))

@@ -12,7 +12,7 @@ import pyarrow.compute as pc
 
 from .. import corpus
 from ..functions.hashing import rolling_fingerprint
-from .buckets import cogroup, combine, to_frame
+from .buckets import cogroup, combine, combine_frame
 from ..functions.langid import LangId
 from ..stages.multimodal import MediaFeatures, media_table_from_documents
 from .extract import extract_pages, quality_by_host
@@ -1020,7 +1020,7 @@ def host_reputation_filter(sf_dir: str, min_mean_tokens_x100: int = 5000):
     scored = _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
         ok_host_tokens, batch_format="pyarrow", zero_copy_batch=True
     )
-    hp = to_frame(combine(scored, "host", {"sum_tok": ("n_tokens", "sum"), "n": ("doc_id", "count")}))
+    hp = combine_frame(scored, "host", {"sum_tok": ("n_tokens", "sum"), "n": (None, "count")})
     keep_hosts = set(
         hp.loc[
             (hp["sum_tok"] * 100 >= min_mean_tokens_x100 * hp["n"])

@@ -20,7 +20,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .buckets import N_RANGE_BUCKETS, cogroup, combine, to_frame
+from .buckets import N_RANGE_BUCKETS, cogroup, combine, combine_frame
 from .relational import _range_bucket_counts, _read
 
 #: Knuth multiplicative hash modulus/multiplier, chosen so the product
@@ -87,8 +87,7 @@ def token_budget_shards(sf_dir: str, budget: int = 5_000):
 
     nt = ds.map_batches(narrow, batch_format="pyarrow", zero_copy_batch=True).materialize()
 
-    per_bucket = to_frame(combine(nt, "_bucket", {"n_tokens": ("n_tokens", "sum")}))
-    per_bucket = per_bucket.sort_values("_bucket")
+    per_bucket = combine_frame(nt, "_bucket", {"n_tokens": ("n_tokens", "sum")})
     offsets_by_bucket = dict(
         zip(
             per_bucket["_bucket"].to_numpy(),
@@ -222,7 +221,7 @@ def split_contamination(sf_dir: str, train_pct: int = 80, val_pct: int = 10):
         ds.map_batches(narrow, batch_format="pyarrow", zero_copy_batch=True), "sha", audit_bucket
     )  # ≤ 2 tiny partial rows per bucket
     sums = {"n_docs": ("n_docs", "sum"), "n_contaminated": ("n_contaminated", "sum")}
-    return to_frame(combine(parts, "split", sums)).sort_values("split").reset_index(drop=True)
+    return combine_frame(parts, "split", sums)
 
 
 def _hashed_feats(t: pa.Table, n_feat: int):
@@ -364,8 +363,7 @@ def pack_sequences(sf_dir: str, seq_len: int = 256):
 
     nt = ds.map_batches(narrow, batch_format="pyarrow", zero_copy_batch=True).materialize()
 
-    per_bucket = to_frame(combine(nt, "_bucket", {"n_tokens": ("n_tokens", "sum")}))
-    per_bucket = per_bucket.sort_values("_bucket")
+    per_bucket = combine_frame(nt, "_bucket", {"n_tokens": ("n_tokens", "sum")})
     offsets_by_bucket = dict(
         zip(
             per_bucket["_bucket"].to_numpy(),
@@ -802,7 +800,7 @@ def padding_waste_by_length_tile(sf_dir: str, tiles: int = 10):
         .groupby("_bucket")
         .map_groups(tile_partials, batch_format="pandas")
     )
-    f = to_frame(combine(tiles_ds, "tile", {"n_docs": ("n", "sum"), "s": ("s", "sum"), "max_len": ("mx", "max")}))
+    f = combine_frame(tiles_ds, "tile", {"n_docs": ("n", "sum"), "s": ("s", "sum"), "max_len": ("mx", "max")})
     return pd.DataFrame(
         {
             "tile": f["tile"],
@@ -952,7 +950,7 @@ def weighted_quantile_doc_len(sf_dir: str):
         )
 
     parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    grid = to_frame(combine(parts, "len", {"w": ("w", "sum")})).sort_values("len")
+    grid = combine_frame(parts, "len", {"w": ("w", "sum")})
     cum = grid["w"].cumsum().to_numpy()
     lens = grid["len"].to_numpy()
     total = int(cum[-1]) if len(cum) else 0
@@ -981,11 +979,7 @@ def temperature_mixture_allocation(sf_dir: str, budget: int = 100_000):
     merge); the allocation itself is a sources-sized driver computation,
     like skew_salt_plan's plan table."""
     ds = _read(sf_dir, "documents", ["source", "n_chars"])
-    sizes = (
-        to_frame(combine(ds, "source", {"size_chars": ("n_chars", "sum")}))
-        .sort_values("source")
-        .reset_index(drop=True)
-    )
+    sizes = combine_frame(ds, "source", {"size_chars": ("n_chars", "sum")})
     sz = sizes["size_chars"].to_numpy(dtype=np.int64)
     w = np.floor(np.sqrt(sz.astype(np.float64) * 1e12)).astype(np.int64)
     W = int(w.sum())

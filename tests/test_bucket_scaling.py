@@ -14,7 +14,8 @@ frame is memory-bounded by design. These tests pin
 3. the primitives' contracts: per-side frames keep int64 exact past 2^53,
    an empty side is a typed zero-row frame, the stage carries the
    callback's name; ``combine`` is block-order independent, exact past
-   2^53, handles multi-column keys and typed empty inputs;
+   2^53, counts rows, handles multi-column keys and typed empty inputs,
+   and ``combine_frame`` returns rows sorted by key on both merge paths;
 4. static guards: hand-rolled ``groupby("_bucket")`` shuffles and
    per-key partial merges outside ``combine`` stay gone.
 """
@@ -35,8 +36,8 @@ from pdf_extractor_ray.pipelines.buckets import (
     _source_row_estimate,
     cogroup,
     combine,
+    combine_frame,
     derive_n_buckets,
-    to_frame,
 )
 
 PIPELINES = pathlib.Path(__file__).resolve().parent.parent / "pdf_extractor_ray" / "pipelines"
@@ -112,6 +113,11 @@ def test_derive_floor_and_scaling(sf_dir, monkeypatch):
         "exact_distinct_tokens_by_source",
         "degree_distribution",
         "minhash_near_dup",
+        "weekly_revenue_wow",
+        "token_stats_by_lang",
+        "part_brand_stats",
+        "sliding_window_agg",
+        "rollup_counts",
     ],
 )
 def test_bucket_count_invariance(sf_dir, qname, monkeypatch):
@@ -120,7 +126,8 @@ def test_bucket_count_invariance(sf_dir, qname, monkeypatch):
     one bucket on every side), so per-key results cannot depend on the
     count. The forced size also sends every ``combine`` (quality_by_host,
     pricing_summary, windows, benford, distinct tokens, degree histogram,
-    ``_dedup_verified``) to its co-group merge."""
+    ``_dedup_verified``, weekly revenue, token stats, brand stats, rollup)
+    to its co-group merge."""
     import importlib.util
 
     spec = importlib.util.spec_from_file_location(
@@ -234,7 +241,7 @@ def test_stage_is_named_after_the_callback(sf_dir):
     assert "MapBatches(run)" not in stats
 
 
-_AGGS = {"n": ("v", "count"), "lo": ("v", "min"), "hi": ("v", "max"), "total": ("v", "sum")}
+_AGGS = {"n": (None, "count"), "lo": ("v", "min"), "hi": ("v", "max"), "total": ("v", "sum")}
 
 
 def _keyed_table(n: int = 500) -> pa.Table:
@@ -264,7 +271,8 @@ def _expected(t: pa.Table) -> pd.DataFrame:
 
 def test_combine_driver_and_cogroup_merges_agree(monkeypatch):
     """The driver merge and the forced co-group merge (ROWS_PER_BUCKET=1)
-    give the same rows and dtypes; the driver merge returns them sorted."""
+    give the same rows and dtypes; the driver merge returns them sorted,
+    and ``combine_frame`` returns them sorted on both paths."""
     import ray.data as rd
 
     t = _keyed_table()
@@ -272,11 +280,66 @@ def test_combine_driver_and_cogroup_merges_agree(monkeypatch):
     driver = combine(ds, ["s", "k"], _AGGS).to_pandas()
     assert list(driver.columns) == ["s", "k", "n", "lo", "hi", "total"]
     assert driver.equals(driver.sort_values(["s", "k"]).reset_index(drop=True))
+    pd.testing.assert_frame_equal(combine_frame(ds, ["s", "k"], _AGGS), driver, check_exact=True)
     monkeypatch.setattr(buckets, "ROWS_PER_BUCKET", 1)
     forced = combine(ds, ["s", "k"], _AGGS).materialize()
     assert "MapBatches(merge)" in forced.stats()
     pd.testing.assert_frame_equal(_canon(driver), _canon(forced), check_exact=True)
     pd.testing.assert_frame_equal(_canon(driver), _canon(_expected(t)), check_exact=True)
+    pd.testing.assert_frame_equal(combine_frame(ds, ["s", "k"], _AGGS), driver, check_exact=True)
+
+
+def test_combine_splits_the_driver_merge_on_key_runs():
+    """The driver merge comes back as one block per CPU (4 in the test
+    session), and every ``keys[0]`` value lies in exactly one block."""
+    import ray
+    import ray.data as rd
+
+    blocks = ray.get(combine(rd.from_arrow(_keyed_table()), ["s", "k"], _AGGS).to_arrow_refs())
+    assert 1 < len(blocks) <= 4
+    seen = [set(b.column("s").to_pylist()) for b in blocks]
+    assert sum(map(len, seen)) == len(set().union(*seen)) == 7
+
+
+def test_combine_count_counts_rows_not_values():
+    """``(None, "count")`` is COUNT(*): a row whose other columns are null
+    still counts, on both merge paths."""
+    import ray.data as rd
+
+    t = pa.table({"k": pa.array([1, 1, 2, 2, 2], pa.int64()), "v": pa.array([None, 4, None, None, 5], pa.int64())})
+    ds = rd.from_arrow([t.slice(0, 2), t.slice(2)])
+    want = pd.DataFrame({"k": [1, 2], "n": [2, 3], "total": [4, 5]})
+    aggs = {"n": (None, "count"), "total": ("v", "sum")}
+    pd.testing.assert_frame_equal(combine_frame(ds, "k", aggs), want, check_exact=True)
+
+
+def test_token_stats_by_lang_counts_documents_with_null_text(tmp_path):
+    """``n_docs`` is COUNT(*) per language, as in its oracle: documents
+    whose text is null still count."""
+    import pyarrow.parquet as pq
+
+    from pdf_extractor_ray.pipelines.relational import token_stats_by_lang
+
+    docs = pa.table(
+        {
+            "lang": pa.array(["en", "en", "de", "en", "de"]),
+            "text": pa.array(["a b c", None, None, "d e", "f"]),
+        }
+    )
+    pq.write_table(docs, tmp_path / "documents.parquet")
+    got = _canon(token_stats_by_lang(str(tmp_path)))
+    assert got[["lang", "n_docs"]].values.tolist() == [["de", 2], ["en", 3]]
+
+
+def test_weekly_revenue_wow_keeps_week_order_on_the_cogroup_path(sf_dir, monkeypatch):
+    """The week-over-week LAG reads neighbouring rows, so the merged weeks
+    must arrive in week order on the co-group path too: rows compared as
+    returned, without sorting."""
+    from pdf_extractor_ray.pipelines.relational import weekly_revenue_wow
+
+    base = weekly_revenue_wow(sf_dir)
+    monkeypatch.setattr(buckets, "ROWS_PER_BUCKET", 3)
+    pd.testing.assert_frame_equal(weekly_revenue_wow(sf_dir), base, check_exact=True)
 
 
 def test_combine_is_block_order_independent():
@@ -313,7 +376,7 @@ def test_combine_two_column_key_min_max_count_and_distinct():
 
     t = _keyed_table(210)
     ds = rd.from_arrow([t.slice(0, 100), t.slice(100)])
-    got = combine(ds, ["s", "k"], {"n": ("v", "count"), "lo": ("v", "min"), "hi": ("v", "max")}).to_pandas()
+    got = combine(ds, ["s", "k"], {"n": (None, "count"), "lo": ("v", "min"), "hi": ("v", "max")}).to_pandas()
     want = _expected(t).drop(columns=["total"])
     pd.testing.assert_frame_equal(_canon(got), _canon(want), check_exact=True)
     distinct = combine(ds, ["s", "k"], {}).to_pandas()
@@ -335,9 +398,11 @@ def test_combine_of_empty_input(tmp_path):
     assert dict(zip(schema.names, map(str, schema.types))) == {
         "s": "string", "k": "int64", "n": "int64", "lo": "int64", "hi": "int64", "total": "int64",
     }
-    assert list(to_frame(got).dtypes.astype(str)) == ["object"] + ["int64"] * 5
+    assert list(combine_frame(rd.read_parquet(str(tmp_path / "empty.parquet")), ["s", "k"], _AGGS).dtypes.astype(str)) == [
+        "object"
+    ] + ["int64"] * 5
     lazy = rd.from_arrow(_keyed_table()).filter(expr="k > 5").map_batches(lambda b: b, batch_format="pyarrow")
-    assert len(combine(lazy, "s", {"n": ("v", "count")}).to_pandas()) == 0
+    assert len(combine(lazy, "s", {"n": (None, "count")}).to_pandas()) == 0
 
 
 #: functions whose bucket id carries meaning and so keep their own
@@ -409,8 +474,16 @@ def test_no_hand_rolled_bucket_shuffles_outside_the_primitive():
 #: list in the buckets.py docstring)
 MERGE_ALLOWLIST = {
     # Mean/Std (mean_std_agg, zscore_by_group); per-range bin vectors
-    # summed elementwise (_exact_int_quantiles_multi)
-    "relational.py": {"mean_std_agg", "zscore_by_group", "_exact_int_quantiles_multi"},
+    # summed elementwise (_exact_int_quantiles_multi); float moment sums of
+    # off-grid products, whose summation order combine would change
+    # (corr_by_group, moment_stats_by_group)
+    "relational.py": {
+        "mean_std_agg",
+        "zscore_by_group",
+        "_exact_int_quantiles_multi",
+        "corr_by_group",
+        "moment_stats_by_group",
+    },
     # a checksum summed modulo 2^k
     "textops.py": {"export_roundtrip_manifest"},
 }

@@ -20,27 +20,6 @@ def quiet(ctx=None):
     return ctx
 
 
-def tune_for_throughput(ctx=None):
-    """Single-pipeline throughput mode: disable per-operator CPU reservation
-    (DataContext.op_resource_reservation_*, default ratio 0.5). Reservation
-    holds back capacity for downstream operators, which prevents livelock in
-    deep pipelines under memory pressure but costs ~30% wall time (measured)
-    when the pipeline is one heavy map stage plus cheap aggregation. Use for
-    benchmark-style runs; leave the default for deep multi-stage jobs.
-
-    Caveat measured on this node: with reservation off, 8-CPU throughput
-    nearly doubles (the reservation was the bottleneck) while 32-CPU gains
-    only ~10% (memory bandwidth becomes the bottleneck) — so absolute
-    throughput rises at every size but the single-node 8→32 scaling ratio
-    falls. On a real multi-node cluster each node brings its own memory
-    bus, so the ratio penalty is a shared-bus artifact."""
-    from ray.data import DataContext
-
-    ctx = ctx or DataContext.get_current()
-    ctx.op_resource_reservation_enabled = False
-    return ctx
-
-
 def tune_for_wide_binary(
     ctx=None,
     *,

@@ -39,14 +39,6 @@ def to_iso_date(ts_col) -> pa.Array:
     return pc.strftime(ts_col, format="%Y-%m-%d")
 
 
-def to_iso_hour(ts_col) -> pa.Array:
-    """Tumbling-hour window label as a sortable ISO string. The cast to
-    second precision matters: pyarrow's %S renders fractional seconds for
-    microsecond timestamps (DuckDB's does not)."""
-    floored = pc.cast(pc.floor_temporal(ts_col, unit="hour"), pa.timestamp("s"))
-    return pc.strftime(floored, format="%Y-%m-%d %H:%M:%S")
-
-
 def splice_year(month_col, doc_year_col, doc_month_col) -> pa.Array:
     """Year-boundary inference: record month + document year; if the
     document is dated January and the record month is December, use year−1.

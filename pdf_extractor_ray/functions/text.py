@@ -91,10 +91,3 @@ def normalize_nfkd_ascii(value: str) -> str:
     return (
         unicodedata.normalize("NFKD", value).encode("ascii", "ignore").decode("ascii")
     )
-
-
-def extract_regex_group(col, pattern: str, group_name: str = "g") -> pa.Array:
-    """First-match named-group extraction (statement-date-extractor analog,
-    utils/utils.py:142-262). Pattern must use ``(?P<g>...)``."""
-    st = pc.extract_regex(col, pattern=pattern)
-    return pc.struct_field(st, group_name)

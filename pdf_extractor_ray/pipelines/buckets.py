@@ -1,5 +1,6 @@
 """One bucketed co-group primitive for every hash-partitioned reduce step,
-and one merge for per-key partial aggregates built on it.
+one merge for per-key partial aggregates built on it, and one range
+partition for global ranks.
 
 ``cogroup(sides, key, fn)`` is the tagged reduce-side join ("Binary
 Theta-Joins using MapReduce", EDBT 2014) as one operator. Every row of
@@ -39,19 +40,43 @@ Bucket of a row: an integer key buckets as ``key % n``; a string key as
 input's metadata row count so one bucket's frame stays memory-bounded at
 any size. The stage is named after ``fn`` in Ray Data stats.
 
-Sites that keep their own ``groupby("_bucket")`` because the bucket id
-carries meaning (a range partition, not a hash of one key):
+``ranges(ds, by, fn, *, descending=None, totals=())`` is every global
+rank, prefix sum and NTILE cut without a global sort: a range partition
+on the lexicographic order of the numeric columns ``by`` (``descending``:
+one flag, or one per column). The contract:
 
-- ``relational.global_row_number`` and ``relational.gini_revenue_index``:
-  value-range buckets whose per-bucket counts become global rank offsets;
-- ``training.token_budget_shards``, ``training.pack_sequences``,
-  ``training.stratified_sample_by_decile``, ``training.classifier_auc`` and
-  ``training.padding_waste_by_length_tile``: id/value-range buckets whose
-  offsets or tile edges are read from the bucket id;
-- the PageRank step (``graph._pagerank_round``, ``graph._pagerank_finish``),
-  which routes each round's dangling mass to bucket ``-1``.
+- the last column of ``by`` makes the order total (a unique id), so the
+  rows of one hot value spread over several ranges by their tie-break,
+  and no range holds one value's every row;
+- boundaries: ``ds`` is materialized once and its row count read; about
+  64 rows per range are drawn by a hash of the tie-break value, so the
+  sample depends on row values only, never on blocks or their order; the
+  range count comes from ``derive_n_buckets`` and the boundaries are the
+  sample's quantiles, so a range holds about rows / ranges rows;
+- one ``combine`` counts the rows of each range and sums its ``totals``
+  columns; ``fn(frame, before)`` runs once per range that has rows, on the
+  range's rows sorted by ``by`` without any added column, with ``before``
+  the dict of the row count (``"rows"``) and ``totals`` sums of all
+  earlier ranges, so a global rank is ``before["rows"]`` + local position;
+- results cannot depend on the range count or the sample: a rank is a
+  count of rows before it (``tests/test_bucket_scaling.py`` forces many
+  tiny ranges and a hot value);
+- empty input: ``fn`` runs once on a zero-row frame typed from the
+  schema Ray reports for ``ds`` (no columns when it reports none), and
+  its result is the typed empty output;
+- every execution it starts is consumed (a materialize, one task per
+  block for the sample, the ``combine``); it starts no actor. The stage
+  is named after ``fn``.
 
-These all use the fixed grid ``N_RANGE_BUCKETS``.
+Callers: ``relational.global_row_number`` and
+``relational.gini_revenue_index``; ``training.token_budget_shards`` and
+``training.pack_sequences`` (``totals=("n_tokens",)``);
+``training.stratified_sample_by_decile`` and
+``training.padding_waste_by_length_tile``. ``training.classifier_auc``
+needs no ranks: its tie groups are integer micro-probabilities, so one
+``combine`` of positive and negative counts per group gives the average
+ranks on the driver. PageRank is a hash co-group on the node
+(``cogroup([skeleton, edges, partials], "node", ...)``).
 
 ``combine(ds, keys, aggs)`` is every per-key ``sum``/``min``/``max``/
 ``count`` and every distinct-key (``aggs = {}``) merge. ``aggs`` maps each
@@ -123,10 +148,9 @@ N_KEY_BUCKETS = 64
 #: buckets and the co-group merge, and pin that results do not change.
 ROWS_PER_BUCKET = 2_000_000
 
-#: bucket count of the range partitions and the PageRank step, which keep
-#: their own ``groupby("_bucket")`` (module docstring): a fixed grid, since
-#: their bucket ids carry meaning, not a memory bound.
-N_RANGE_BUCKETS = 64
+#: sampled rows per ``ranges`` bucket: a bucket's size then spreads by about
+#: 1/sqrt(64) = 12% around rows / buckets
+_SAMPLES_PER_BUCKET = 64
 
 
 def _source_row_estimate(ds):
@@ -389,3 +413,90 @@ def combine_frame(ds, keys, aggs: dict):
         tables = ray.get(merged.to_arrow_refs())
         merged = pa.concat_tables(tables, promote_options="permissive").sort_by([(k, "ascending") for k in keys])
     return merged.to_pandas()
+
+
+def _order_keys(t: pa.Table, by: list, desc: list) -> list:
+    """One numpy array per column of ``by`` whose ascending order is the
+    requested order: a descending integer column is bit-inverted
+    (``~x = -x - 1``, no overflow), a descending float column negated."""
+    keys = []
+    for c, d in zip(by, desc):
+        v = t.column(c).to_numpy(zero_copy_only=False)
+        if np.issubdtype(v.dtype, np.integer):
+            v = v.astype(np.int64, copy=False)
+            keys.append(~v if d else v)
+        elif np.issubdtype(v.dtype, np.floating):
+            v = v.astype(np.float64, copy=False)
+            keys.append(-v if d else v)
+        else:
+            raise TypeError(f"ranges column {c} must be numeric, got {v.dtype}")
+    return keys
+
+
+def _bucket_ids(keys: list, bounds: list) -> np.ndarray:
+    """Per row of ``keys``, the number of boundary rows at or before it in
+    lexicographic order: one ``lexsort`` of boundaries and rows together,
+    a boundary sorting before an equal row."""
+    m, n = len(bounds[0]), len(keys[0])
+    flag = np.concatenate([np.zeros(m, np.int8), np.ones(n, np.int8)])
+    order = np.lexsort([flag, *(np.concatenate([b, k]) for b, k in zip(bounds[::-1], keys[::-1]))])
+    is_bound = order < m
+    ids = np.empty(n, np.int64)
+    ids[order[~is_bound] - m] = np.cumsum(is_bound)[~is_bound]
+    return ids
+
+
+def ranges(ds, by, fn, *, descending=None, totals=()):
+    """Range partition of ``ds`` on the lexicographic order of the numeric
+    columns ``by``, the last of which makes the order total;
+    ``fn(frame, before)`` runs once per bucket on its rows sorted by ``by``
+    and returns a frame (module docstring)."""
+    import ray
+    import ray.data as rd
+
+    by = [by] if isinstance(by, str) else list(by)
+    desc = list(descending) if isinstance(descending, (list, tuple)) else [bool(descending)] * len(by)
+    ascending = [not d for d in desc]
+    src, ds = ds, ds.materialize()
+    rows = ds.count()
+    if rows == 0:  # a materialized empty read has lost its schema; the read has it
+        frame = _empty_frame(src).sort_values(by, ascending=ascending)
+        return rd.from_pandas(fn(frame, dict.fromkeys(["rows", *totals], 0)))
+
+    # boundaries: a sample chosen by a hash of the tie-break column, so it
+    # depends on row values only, never on blocks or their order
+    n = derive_n_buckets(ds, rows)
+    cut = np.uint64(min(1.0, _SAMPLES_PER_BUCKET * n / rows) * 2.0**53)
+
+    def sample(t: pa.Table) -> pa.Table | None:
+        if not t.num_rows:  # a zero-row block may have no columns
+            return None
+        v = t.column(by[-1]).to_numpy(zero_copy_only=False)
+        bits = np.ascontiguousarray(v, np.int64 if np.issubdtype(v.dtype, np.integer) else np.float64).view(np.uint64)
+        return t.select(by).filter(pa.array((bits * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(11) < cut))
+
+    # plain tasks on the materialized blocks: a Ray Data execution would
+    # cost more than the sampling itself
+    drawn = [t for t in ray.get([ray.remote(sample).remote(r) for r in ds.to_arrow_refs()]) if t is not None]
+    keys = _order_keys(pa.concat_tables(drawn), by, desc)
+    order = np.lexsort(keys[::-1])
+    at = np.unique(np.arange(1, n) * len(order) // n)[: len(order)]  # none when nothing was drawn
+    bounds = [k[order[at]] for k in keys]
+
+    def tag(t: pa.Table) -> pa.Table:
+        return t.append_column("_range", pa.array(_bucket_ids(_order_keys(t, by, desc), bounds)))
+
+    # tagging is cheap next to a Ray Data execution, so the counts and the
+    # partition each tag the materialized input rather than share a
+    # materialized tagged copy
+    bucketed = ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
+    counts = combine_frame(bucketed, "_range", {"rows": (None, "count"), **{c: (c, "sum") for c in totals}})
+    counts = counts.set_index("_range").reindex(range(len(at) + 1), fill_value=0)
+    before = (counts.cumsum() - counts).to_dict("records")
+
+    @functools.wraps(fn)
+    def run(t: pa.Table):
+        b = t.column("_range")[0].as_py()
+        return fn(_to_pandas(t.drop_columns(["_range"]), None).sort_values(by, ascending=ascending), before[b])
+
+    return bucketed.groupby("_range").map_groups(run, batch_format="pyarrow")

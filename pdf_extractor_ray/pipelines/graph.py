@@ -2,11 +2,10 @@
 
 Third iterative-algorithm family beside k-means (`similarity.kmeans_clusters`)
 and connected components (`dedup.connected_components*`): PageRank by power
-iteration, expressed as bucket co-grouped Dataset passes — ranks and edges
-are co-located by `node % N_RANGE_BUCKETS` buckets, contributions flow
-through ONE dst-bucket shuffle per iteration, and only one dangling-mass
-scalar per bucket reaches the driver per round. No per-node Ray groups
-anywhere (the r2 ~1 ms/group rule).
+iteration, expressed as ``cogroup`` passes on the node key — node
+skeleton, out-edges and incoming contributions meet in one co-group per
+iteration, and only one dangling-mass scalar per bucket reaches the driver
+per round. No per-node Ray groups anywhere (the r2 ~1 ms/group rule).
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .buckets import N_RANGE_BUCKETS, cogroup, combine
+from .buckets import cogroup, combine
 from .relational import _read
 
 DAMPING = 0.85
@@ -75,32 +74,25 @@ def pagerank(sf_dir: str, n_iters: int = 10, damping: float = DAMPING):
     dangling/N). Returns (node, rank) rounded to 10 dp; supplier node ids
     carry a 2^32 offset.
 
-    Scale shape — ONE co-group shuffle per iteration (the CC-rounds rule:
-    a measured union+groupby pass costs seconds of fixed overhead, so the
+    Scale shape — ONE co-group per iteration (the CC-rounds rule: a
+    measured union+groupby pass costs seconds of fixed overhead, so the
     rank-rebuild is FOLDED into the next round's pass instead of being its
     own shuffle): the iteration state is the (node, contribution) partial
-    table keyed by node % N_RANGE_BUCKETS; each pass unions {partials, node
-    skeleton, src-bucketed edges} — all three keyed by the SAME bucket id — and
-    inside the bucket (a) reduces partials to ranks in sorted order,
-    (b) joins ranks onto the co-resident edges, emitting next-round
-    (dst, contrib) partials plus one dangling scalar per bucket. Only those
-    dangling scalars reach the driver per round. Edges and skeleton are
-    materialized once and re-read from the object store every round.
-    Float sums happen in sorted key order, so results are bit-reproducible
-    given a fixed block layout (the k-means convention)."""
+    table; each pass is ``cogroup([skeleton, edges, partials], "node")``,
+    and inside the bucket it (a) reduces partials to ranks in sorted order,
+    (b) joins ranks onto the co-resident out-edges, emitting next-round
+    (dst, contrib) partials plus one dangling row (node = -1) per bucket.
+    Only those dangling rows reach the driver per round; they never
+    re-enter a co-group. Edges and skeleton are materialized once and
+    re-read from the object store every round. Float sums happen in sorted
+    key order, so results are bit-reproducible for a fixed bucket count
+    (the k-means convention)."""
     static, n_nodes = _pagerank_static(sf_dir)
 
-    # state: contribution partials keyed by node bucket; round 0 starts with
-    # none (ranks reduce to the uniform init when no partials are present).
-    state = None  # Dataset of (_bucket, kind=0, node, c, dst=-1, deg=0)
-    base = 1.0 / n_nodes  # round-0 "rank" for every node
-    uniform0 = True
-
+    # round 0 has no partials: ranks start at the uniform 1/N
+    state, base = None, 1.0 / n_nodes
     for _ in range(n_iters):
-        state, base = _pagerank_round(
-            static, state, base, uniform0, damping, n_nodes
-        )
-        uniform0 = False
+        state, base = _pagerank_round(static, state, base, damping, n_nodes)
 
     ranks = _pagerank_finish(static, state, base, damping).materialize()
     # self-audit (VERDICT r4 #6): total rank mass — a probability
@@ -152,15 +144,13 @@ def pagerank_resumable(
     static, n_nodes = _pagerank_static(sf_dir)
     state = None
     base = 1.0 / n_nodes
-    uniform = True
     ran = skipped = 0
 
     def snapshot_ds(state_ds, base_val):
-        live = state_ds.select_columns(["node", "c"])
         brow = rd.from_arrow(
             pa.table({"node": pa.array([-2], pa.int64()), "c": pa.array([base_val])})
         )
-        return live.union(brow)
+        return state_ds.union(brow)
 
     def restore(name):
         import pyarrow.parquet as pq_mod
@@ -170,32 +160,19 @@ def pagerank_resumable(
         c = snap.column("c").to_numpy(zero_copy_only=False)
         is_base = node == -2
         base_val = float(c[is_base][0])
-        node, c = node[~is_base], c[~is_base]
-        t = pa.table(
-            {
-                "_bucket": pa.array(node % N_RANGE_BUCKETS),
-                "kind": pa.array(np.zeros(len(node), dtype=np.int8)),
-                "node": pa.array(node),
-                "c": pa.array(c),
-                "dst": pa.array(np.full(len(node), -1, dtype=np.int64)),
-                "deg": pa.array(np.zeros(len(node), dtype=np.int64)),
-            }
-        )
-        return rd.from_arrow(t).repartition(8).materialize(), base_val
+        return rd.from_arrow(pa.table({"node": pa.array(node[~is_base]), "c": pa.array(c[~is_base])})), base_val
 
     # committed prefix: only the LAST committed snapshot needs reading
     while skipped < n_iters and cp.done(f"iter-{skipped:03d}"):
         skipped += 1
     if skipped:
         state, base = restore(f"iter-{skipped - 1:03d}")
-        uniform = False
 
     for i in range(skipped, n_iters):
         name = f"iter-{i:03d}"
         if fail_after_iters is not None and ran >= fail_after_iters:
             raise RuntimeError(f"simulated crash before {name}")
-        state, base = _pagerank_round(static, state, base, uniform, damping, n_nodes)
-        uniform = False
+        state, base = _pagerank_round(static, state, base, damping, n_nodes)
         cp.write_pass(name, snapshot_ds(state, base), rid)
         ran += 1
 
@@ -207,23 +184,15 @@ def pagerank_resumable(
 
 
 def _pagerank_static(sf_dir: str):
-    """Build the materialized static side of every PageRank round (tagged
-    skeleton ∪ degree-annotated edges, coalesced to O(CPUs) blocks once —
-    NOTES block-count rule) and the node count. Shared by ``pagerank`` and
-    the checkpoint/resume variant."""
-    edges = _customer_supplier_edges(sf_dir)
+    """The static sides of every PageRank round, materialized once — the
+    node skeleton (node) and the degree-annotated out-edges (node = src,
+    dst, deg) — and the node count. Shared by ``pagerank`` and the
+    checkpoint/resume variant."""
+    edges = _customer_supplier_edges(sf_dir).materialize()
 
     def degree(g: pd.DataFrame) -> pd.DataFrame:
         deg = g.groupby("src")["dst"].transform("size").to_numpy(dtype=np.int64)
-        return pd.DataFrame(
-            {"src": g["src"].to_numpy(), "dst": g["dst"].to_numpy(), "deg": deg}
-        )
-
-    edges_b = (
-        cogroup(edges, "src", degree)
-        .repartition(32)  # NOTES block-count rule: re-enters a shuffle every round
-        .materialize()
-    )
+        return pd.DataFrame({"node": g["src"].to_numpy(), "dst": g["dst"].to_numpy(), "deg": deg})
 
     def node_rows(t: pa.Table) -> pa.Table:
         n = np.unique(
@@ -239,119 +208,45 @@ def _pagerank_static(sf_dir: str):
     def dedup_nodes(g: pd.DataFrame) -> pd.DataFrame:
         return g.drop_duplicates("node")
 
-    nodes = (
-        cogroup(edges.map_batches(node_rows, batch_format="pyarrow", zero_copy_batch=True), "node", dedup_nodes)
-        .repartition(32)  # same rule
-        .materialize()
-    )
-    n_nodes = nodes.count()
-
-    # Unified row layout for the 3-way union:
-    #   kind 0 = contribution partial (node, c)
-    #   kind 1 = node skeleton row    (node)
-    #   kind 2 = edge row             (node=src, dst, deg)
-    def skel_tag(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return pa.table(
-            {
-                "_bucket": pa.array(t.column("node").to_numpy(zero_copy_only=False) % N_RANGE_BUCKETS),
-                "kind": pa.array(np.full(n, 1, dtype=np.int8)),
-                "node": t.column("node"),
-                "c": pa.array(np.zeros(n)),
-                "dst": pa.array(np.full(n, -1, dtype=np.int64)),
-                "deg": pa.array(np.zeros(n, dtype=np.int64)),
-            }
-        )
-
-    def edge_tag(t: pa.Table) -> pa.Table:
-        s = t.column("src").to_numpy(zero_copy_only=False)
-        n = len(s)
-        return pa.table(
-            {
-                "_bucket": pa.array(s % N_RANGE_BUCKETS),
-                "kind": pa.array(np.full(n, 2, dtype=np.int8)),
-                "node": pa.array(s),
-                "c": pa.array(np.zeros(n)),
-                "dst": t.column("dst"),
-                "deg": t.column("deg"),
-            }
-        )
-
-    # static side of every round's union, coalesced to a few blocks ONCE —
-    # the union+groupby sort cost scales with BLOCK count, and bucket
-    # outputs arrive as one tiny block per bucket (measured 13.7 s/iter
-    # with ~200 raw blocks vs ~3 s after coalescing; NOTES r3).
-    static = (
-        nodes.map_batches(skel_tag, batch_format="pyarrow", zero_copy_batch=True)
-        .union(
-            edges_b.map_batches(edge_tag, batch_format="pyarrow", zero_copy_batch=True)
-        )
-        .repartition(8)
-        .materialize()
-    )
-    return static, n_nodes
+    out_edges = cogroup(edges, "src", degree).materialize()
+    nodes = cogroup(
+        edges.map_batches(node_rows, batch_format="pyarrow", zero_copy_batch=True), "node", dedup_nodes
+    ).materialize()
+    return (nodes, out_edges), nodes.count()
 
 
-def _pagerank_round(static, state, base, uniform, damping, n_nodes):
+def _ranks(sk: pd.DataFrame, cp: pd.DataFrame, base: float, damping: float) -> pd.Series:
+    """Rank of every skeleton node from its contribution partials, summed
+    per node in sorted (node, c) order so the sum does not depend on the
+    order the partials arrive in."""
+    s = cp.sort_values(["node", "c"], kind="mergesort").groupby("node", sort=True)["c"].sum()
+    return pd.Series(base + damping * sk["node"].map(s).fillna(0.0).to_numpy(), index=sk["node"].to_numpy())
+
+
+def _pagerank_round(static, state, base, damping, n_nodes):
     """One power-iteration round (shared by ``pagerank`` and the
-    checkpoint/resume variant): co-group {static, state partials}, emit
-    next-round partials + one dangling scalar per bucket, return
-    (new_state, new_base).
-    Deterministic regardless of block layout: every in-bucket float sum
-    happens in sorted (node, c) order and the dangling sum sorts first."""
+    checkpoint/resume variant): co-group skeleton, out-edges and the state
+    partials on the node, emit next-round partials + one dangling row
+    (node = -1) per bucket, return (new_state, new_base). Without partials
+    (round 0) every rank is ``base``. Deterministic regardless of block
+    layout: skeleton nodes are summed in node order and every other
+    in-bucket float sum in sorted (node, c) order."""
     import pyarrow.compute as pc
 
-    def make_pass(base_val, uniform):
-        def step(g: pd.DataFrame) -> pd.DataFrame:
-            sk = g[g["kind"] == 1][["node"]].drop_duplicates()
-            eg = g[g["kind"] == 2][["node", "dst", "deg"]]
-            if uniform:
-                r = pd.Series(base_val, index=sk["node"].to_numpy())
-            else:
-                cp = g[g["kind"] == 0].sort_values(["node", "c"], kind="mergesort")
-                s = cp.groupby("node", sort=True)["c"].sum()
-                r = pd.Series(
-                    base_val + damping * sk["node"].map(s).fillna(0.0).to_numpy(),
-                    index=sk["node"].to_numpy(),
-                )
-            m = eg.assign(r=eg["node"].map(r).to_numpy())
-            out = pd.DataFrame(
-                {
-                    "node": m["dst"].to_numpy(dtype=np.int64),
-                    "c": (m["r"] / m["deg"]).to_numpy(),
-                }
-            ).sort_values(["node", "c"], kind="mergesort")
-            agg = out.groupby("node", sort=True)["c"].sum().reset_index()
-            dang = float(r[~r.index.isin(eg["node"].unique())].sum())
-            agg = pd.concat(
-                [agg, pd.DataFrame({"node": [np.int64(-1)], "c": [dang]})],
-                ignore_index=True,
-            )
-            bucket = int(g["_bucket"].iloc[0])
-            return pd.DataFrame(
-                {
-                    "_bucket": np.where(
-                        agg["node"].to_numpy() >= 0,
-                        agg["node"].to_numpy(dtype=np.int64) % N_RANGE_BUCKETS,
-                        -1,
-                    ).astype(np.int64),
-                    "kind": np.zeros(len(agg), dtype=np.int8),
-                    "node": agg["node"].to_numpy(dtype=np.int64),
-                    "c": agg["c"].to_numpy(),
-                    "dst": np.full(len(agg), -1, dtype=np.int64),
-                    "deg": np.zeros(len(agg), dtype=np.int64),
-                }
-            )
+    def step(sk: pd.DataFrame, eg: pd.DataFrame, cp: pd.DataFrame | None = None) -> pd.DataFrame:
+        sk = sk.sort_values("node")
+        r = pd.Series(base, index=sk["node"].to_numpy()) if cp is None else _ranks(sk, cp, base, damping)
+        out = pd.DataFrame(
+            {
+                "node": eg["dst"].to_numpy(dtype=np.int64),
+                "c": (eg["node"].map(r) / eg["deg"]).to_numpy(),
+            }
+        ).sort_values(["node", "c"], kind="mergesort")
+        agg = out.groupby("node", sort=True)["c"].sum().reset_index()
+        dang = float(r[~r.index.isin(eg["node"].unique())].sum())
+        return pd.concat([agg, pd.DataFrame({"node": [np.int64(-1)], "c": [dang]})], ignore_index=True)
 
-        return step
-
-    u = static if state is None else static.union(state)
-    parts = (
-        u.groupby("_bucket")
-        .map_groups(make_pass(base, uniform), batch_format="pandas")
-        .repartition(8)
-        .materialize()
-    )
+    parts = cogroup(list(static) + ([] if state is None else [state]), "node", step).materialize()
 
     def dang_rows(t: pa.Table) -> pa.Table:
         return t.filter(pc.equal(t.column("node"), -1)).select(["c"])
@@ -374,23 +269,14 @@ def _pagerank_round(static, state, base, uniform, damping, n_nodes):
 
 
 def _pagerank_finish(static, state, base, damping):
-    """Final rank evaluation: one last co-group of partials with the
-    skeleton (shared by both pagerank variants)."""
+    """Final rank evaluation: one last co-group of the skeleton with the
+    partials (shared by both pagerank variants)."""
 
-    def finish(g: pd.DataFrame) -> pd.DataFrame:
-        sk = g[g["kind"] == 1][["node"]].drop_duplicates()
-        cp = g[g["kind"] == 0].sort_values(["node", "c"], kind="mergesort")
-        s = cp.groupby("node", sort=True)["c"].sum()
-        r = base + damping * sk["node"].map(s).fillna(0.0).to_numpy()
-        return pd.DataFrame(
-            {"node": sk["node"].to_numpy(dtype=np.int64), "rank": np.round(r, 10)}
-        )
+    def finish(sk: pd.DataFrame, cp: pd.DataFrame) -> pd.DataFrame:
+        r = _ranks(sk, cp, base, damping)
+        return pd.DataFrame({"node": r.index.to_numpy(dtype=np.int64), "rank": np.round(r.to_numpy(), 10)})
 
-    return (
-        static.union(state)
-        .groupby("_bucket")
-        .map_groups(finish, batch_format="pandas")
-    )
+    return cogroup([static[0], state], "node", finish)
 
 
 def _part_cooccurrence_edges(sf_dir: str):

@@ -31,7 +31,7 @@ from ..functions.quality import quality_features
 from ..functions.text import clean_description, keyword_filter_batch, standardize_column
 from ..functions.tokens import explode_tokens as explode_tokens_batch
 from ..functions.tokens import token_counts
-from .buckets import N_RANGE_BUCKETS, cogroup, combine, combine_frame
+from .buckets import cogroup, combine, combine_frame, ranges
 
 EXCLUDE_KEYWORDS = ["slow", "error"]  # PERSONAL_EXPENSES-style exclusion vocab
 INCLUDE_KEYWORDS = ["merge", "join"]
@@ -2845,67 +2845,25 @@ def interval_islands(sf_dir: str, gap_s: int = 300):
     return cogroup(ds, "user_id", islands, sort_by=["user_id", "ts", "event_id"])
 
 
-def _range_bucket_counts(bucketed) -> np.ndarray:
-    """Rows per range bucket ``0..N_RANGE_BUCKETS-1`` of a Dataset with a
-    ``_bucket`` column, counted by ``combine``."""
-    c = combine_frame(bucketed, "_bucket", {"n": (None, "count")})
-    return c.set_index("_bucket")["n"].reindex(range(N_RANGE_BUCKETS), fill_value=0).to_numpy()
-
-
 def global_row_number(sf_dir: str):
     """Global ROW_NUMBER over the whole table (orders by totalprice DESC,
     orderkey ASC) — distributed ranking WITHOUT materializing a global
-    sort: (1) a SAMPLED range estimate (first blocks only — any monotone
-    bucket fn is correct because out-of-range values clip into the end
-    buckets and still sort within them, so the exact-min/max full scan the
-    first version paid is wasted work), (2) one pass of per-batch counts
-    into order-preserving value-range buckets (B integers to the driver →
-    prefix offsets), (3) bucket co-group, sort WITHIN the bucket, rank =
-    bucket offset + local position. Ties share a price so they land in the
-    same bucket and break on orderkey; the bucket function is pure float64
-    arithmetic on the same values both passes, so assignment is
-    deterministic.
+    sort: ``buckets.ranges`` cuts the rows into (price, orderkey) ranges
+    and hands each range, sorted, to ``rank`` with the row count of the
+    ranges before it; rank = that count + local position. The orderkey
+    tie-break makes the order total, so rows of one hot price spread over
+    several ranges.
 
-    Scale shape: ONE full column-pruned scan + a first-block sample + one
-    all-to-all on ≤B groups; per-bucket sorts are the only O(n log n) work
-    and run fully parallel. Skewed value ranges (or a bad sample) only
-    unbalance bucket sizes, never correctness."""
+    Scale shape: one column-pruned scan, a value-hash sample, one
+    per-range count and one all-to-all on the ranges; the per-range sorts
+    are the only O(n log n) work and run fully parallel."""
     ds = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
 
-    sample = ds.limit(4096).to_pandas()["o_totalprice"].to_numpy()
-    lo, hi = float(sample.min()), float(sample.max())
-    span = (hi - lo) or 1.0
+    def rank(g: pd.DataFrame, before: dict) -> pd.DataFrame:
+        rn = before["rows"] + np.arange(1, len(g) + 1, dtype=np.int64)
+        return pd.DataFrame({"o_orderkey": g["o_orderkey"].to_numpy(dtype=np.int64), "rn": rn})
 
-    def bucket_of(p: np.ndarray) -> np.ndarray:
-        b = ((hi - p) / span * N_RANGE_BUCKETS).astype(np.int64)
-        return np.clip(b, 0, N_RANGE_BUCKETS - 1)
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        p = t.column("o_totalprice").to_numpy(zero_copy_only=False)
-        return t.append_column("_bucket", pa.array(bucket_of(p)))
-
-    # ONE parquet decode + ONE bucket_of: materialize the bucketed
-    # projection, then the offset pre-pass counts from the already-computed
-    # _bucket column over object-store blocks (NOTES r4 candidate — the
-    # first version paid a second full read+hash for the counts)
-    bucketed = ds.map_batches(
-        add_bucket, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
-
-    counts = _range_bucket_counts(bucketed)
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
-
-    def rank_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        b = int(g["_bucket"].iloc[0])
-        g = g.sort_values(
-            ["o_totalprice", "o_orderkey"], ascending=[False, True], kind="mergesort"
-        )
-        rn = offsets[b] + np.arange(1, len(g) + 1, dtype=np.int64)
-        return pd.DataFrame(
-            {"o_orderkey": g["o_orderkey"].to_numpy(dtype=np.int64), "rn": rn}
-        )
-
-    return bucketed.groupby("_bucket").map_groups(rank_bucket, batch_format="pandas")
+    return ranges(ds, ["o_totalprice", "o_orderkey"], rank, descending=[True, False])
 
 
 def dense_rank_in_group(sf_dir: str):
@@ -5339,61 +5297,37 @@ def gini_revenue_index(sf_dir: str):
     inequality scalar next to the Pareto share in any corpus/market
     concentration audit. Needs the GLOBAL rank of every customer's revenue
     (``G = (2·Σ i·x_(i) − (n+1)·Σx) / (n·Σx)``, x ascending), computed
-    WITHOUT a global sort via the ``global_row_number`` machinery: sampled
-    value-range buckets (monotone in the value, so clipping is harmless),
-    one counts pre-pass → per-bucket rank offsets, then each bucket reduces
-    to THREE integer scalars (Σ local_rank·x, Σx, n) — ranks never
-    materialize per row and the final reduce is B rows on the driver.
+    WITHOUT a global sort via ``buckets.ranges`` on (cents, custkey):
+    each range reduces to THREE integer scalars (Σ local_rank·x, Σx, n)
+    plus the row count of the ranges before it — ranks never materialize
+    per row and the final reduce is one row per range on the driver.
 
-    Tie-safe by construction: equal x land in one bucket and Σ rank·x over
+    Tie-safe by construction: whatever the tie-break, Σ rank·x over
     a tie block is invariant to intra-block order. Integer cents end to
     end; the single int/int ratio rounds half-away (CLAUDE.md rule).
     Reference shape: dataextractai's category-concentration rollups
     (grading parity target is the SQL window oracle)."""
     percust = _cents_per_customer(sf_dir)
 
-    sample = percust.limit(4096).to_pandas()["cents"].to_numpy(dtype=np.float64)
-    lo, hi = float(sample.min()), float(sample.max())
-    span = (hi - lo) or 1.0
-
-    def bucket_of(x: np.ndarray) -> np.ndarray:
-        b = ((x - lo) / span * N_RANGE_BUCKETS).astype(np.int64)
-        return np.clip(b, 0, N_RANGE_BUCKETS - 1)
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        x = t.column("cents").to_numpy(zero_copy_only=False).astype(np.float64)
-        return t.append_column("_bucket", pa.array(bucket_of(x)))
-
-    bucketed = percust.map_batches(
-        add_bucket, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
-
-    counts = _range_bucket_counts(bucketed)
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
-
-    def ranksum_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        b = int(g["_bucket"].iloc[0])
-        x = np.sort(g["cents"].to_numpy(dtype=np.int64))
+    def ranksum(g: pd.DataFrame, before: dict) -> pd.DataFrame:
+        x = g["cents"].to_numpy(dtype=np.int64)
         local = np.arange(1, len(x) + 1, dtype=np.int64)
         return pd.DataFrame(
             {
-                "_bucket": [np.int64(b)],
+                "off": [np.int64(before["rows"])],
                 "s1_local": [np.int64((local * x).sum())],
                 "sx": [np.int64(x.sum())],
                 "m": [np.int64(len(x))],
             }
         )
 
-    red = bucketed.groupby("_bucket").map_groups(ranksum_bucket, batch_format="pandas").to_pandas()
-    red = red.sort_values("_bucket")
+    red = ranges(percust, ["cents", "ck"], ranksum).to_pandas()
     n = int(red["m"].sum())
     s0 = int(red["sx"].sum())
     # global Σ rank·x = Σ_b (offset_b·Σx_b + Σ local·x) — exact Python ints
-    # over B driver rows (numpy int64 would silently wrap first at scale)
-    s1 = sum(
-        int(s1l) + int(offsets[int(b)]) * int(sx)
-        for b, s1l, sx in zip(red["_bucket"], red["s1_local"], red["sx"])
-    )
+    # over one driver row per range (numpy int64 would silently wrap first
+    # at scale)
+    s1 = sum(int(s1l) + int(off) * int(sx) for off, s1l, sx in zip(red["off"], red["s1_local"], red["sx"]))
     num = 2 * s1 - (n + 1) * s0
     den = n * s0
     gini = np.floor(float(num) / float(den) * 1e6 + 0.5) / 1e6

@@ -20,8 +20,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .buckets import N_RANGE_BUCKETS, cogroup, combine, combine_frame
-from .relational import _range_bucket_counts, _read
+from .buckets import cogroup, combine, combine_frame, ranges
+from .relational import _read
 
 #: Knuth multiplicative hash modulus/multiplier, chosen so the product
 #: (key % 2^31) * 2654435761 < 2^63 is exact in BOTH numpy int64 and
@@ -55,51 +55,17 @@ def token_budget_shards(sf_dir: str, budget: int = 5_000):
     ``shard_id = exclusive_prefix_sum(n_tokens ordered by doc_id) // budget``.
 
     Distributed two-phase prefix sum — the textbook shape that avoids both
-    a global sort-then-scan and any driver-side row loop:
-
-    1. one vectorized pass computes the narrow (doc_id, n_tokens, _bucket)
-       table, where ``_bucket`` is an ORDERED range partition of doc_id
-       (B contiguous ranges from a cheap min/max pre-pass); the narrow
-       table is materialized once (16 B/row) for its two consumers;
-    2. per-bucket token sums (B rows) come to the driver, whose exclusive
-       cumulative sum over B scalars yields each bucket's global offset;
-    3. a B-group ``map_groups`` sorts each bucket by doc_id, takes the
-       in-bucket cumulative sum, and adds the broadcast bucket offset.
-
-    Only B scalars ever reach the driver; the shuffle sees B groups
-    regardless of corpus size. Oracle: SUM(...) OVER (ORDER BY doc_id).
+    a global sort-then-scan and any driver-side row loop: one vectorized
+    pass computes the narrow (doc_id, n_tokens) table, ``buckets.ranges``
+    cuts it into doc_id ranges and counts each range's tokens, and each
+    range, sorted by doc_id, adds its in-range cumulative sum to the token
+    total of the ranges before it. Only one scalar per range reaches the
+    driver. Oracle: SUM(...) OVER (ORDER BY doc_id).
     """
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
-    agg = ds.aggregate(*_min_max("doc_id"))
-    mn, mx = int(agg["min(doc_id)"]), int(agg["max(doc_id)"])
-    span = max(mx - mn + 1, 1)
-
-    def narrow(t: pa.Table) -> pa.Table:
-        did = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "doc_id": pa.array(did),
-                "n_tokens": pa.array(_n_tokens(t)),
-                "_bucket": pa.array((did - mn) * N_RANGE_BUCKETS // span),
-            }
-        )
-
-    nt = ds.map_batches(narrow, batch_format="pyarrow", zero_copy_batch=True).materialize()
-
-    per_bucket = combine_frame(nt, "_bucket", {"n_tokens": ("n_tokens", "sum")})
-    offsets_by_bucket = dict(
-        zip(
-            per_bucket["_bucket"].to_numpy(),
-            np.concatenate(([0], np.cumsum(per_bucket["n_tokens"].to_numpy())[:-1])),
-        )
-    )
-
-    def finish(g: pd.DataFrame) -> pd.DataFrame:
-        off = int(offsets_by_bucket[int(g["_bucket"].iloc[0])])
-        g = g.sort_values("doc_id")
+    def finish(g: pd.DataFrame, before: dict) -> pd.DataFrame:
         n = g["n_tokens"].to_numpy()
-        cum = off + np.cumsum(n)
+        cum = before["n_tokens"] + np.cumsum(n)
         return pd.DataFrame(
             {
                 "doc_id": g["doc_id"].to_numpy(),
@@ -109,13 +75,18 @@ def token_budget_shards(sf_dir: str, budget: int = 5_000):
             }
         )
 
-    return nt.groupby("_bucket").map_groups(finish, batch_format="pandas")
+    return ranges(_doc_tokens(sf_dir), "doc_id", finish, totals=("n_tokens",))
 
 
-def _min_max(col: str):
-    from ray.data.aggregate import Max, Min
+def _doc_tokens(sf_dir: str):
+    """The narrow (doc_id int64, n_tokens) table of the documents."""
 
-    return Min(col), Max(col)
+    def narrow(t: pa.Table) -> pa.Table:
+        return pa.table({"doc_id": pc.cast(t.column("doc_id"), pa.int64()), "n_tokens": pa.array(_n_tokens(t))})
+
+    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
+        narrow, batch_format="pyarrow", zero_copy_batch=True
+    )
 
 
 def split_assign(sf_dir: str, train_pct: int = 80, val_pct: int = 10):
@@ -340,43 +311,16 @@ def pack_sequences(sf_dir: str, seq_len: int = 256):
     the token offset INSIDE the doc.
 
     Scale shape: the same distributed two-phase prefix sum as
-    ``token_budget_shards`` (ordered range buckets → B driver scalars →
-    broadcast offsets); fragment explosion is a vectorized repeat/arange
-    inside the B bucket groups. Oracle: window cumsum + generate_series
-    unnest."""
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-
-    agg = ds.aggregate(*_min_max("doc_id"))
-    mn, mx = int(agg["min(doc_id)"]), int(agg["max(doc_id)"])
-    span = max(mx - mn + 1, 1)
+    ``token_budget_shards`` (``buckets.ranges`` on doc_id with the token
+    total of the ranges before each one); fragment explosion is a
+    vectorized repeat/arange inside each range. Oracle: window cumsum +
+    generate_series unnest."""
     L = int(seq_len)
 
-    def narrow(t: pa.Table) -> pa.Table:
-        did = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "doc_id": pa.array(did),
-                "n_tokens": pa.array(_n_tokens(t)),
-                "_bucket": pa.array((did - mn) * N_RANGE_BUCKETS // span),
-            }
-        )
-
-    nt = ds.map_batches(narrow, batch_format="pyarrow", zero_copy_batch=True).materialize()
-
-    per_bucket = combine_frame(nt, "_bucket", {"n_tokens": ("n_tokens", "sum")})
-    offsets_by_bucket = dict(
-        zip(
-            per_bucket["_bucket"].to_numpy(),
-            np.concatenate(([0], np.cumsum(per_bucket["n_tokens"].to_numpy())[:-1])),
-        )
-    )
-
-    def explode(g: pd.DataFrame) -> pd.DataFrame:
-        off = int(offsets_by_bucket[int(g["_bucket"].iloc[0])])
-        g = g.sort_values("doc_id")
+    def explode(g: pd.DataFrame, before: dict) -> pd.DataFrame:
         n = g["n_tokens"].to_numpy(dtype=np.int64)
         did = g["doc_id"].to_numpy(dtype=np.int64)
-        start = off + np.concatenate([[0], np.cumsum(n)[:-1]])
+        start = before["n_tokens"] + np.concatenate([[0], np.cumsum(n)[:-1]])
         first_seq = start // L
         last_seq = (start + n - 1) // L  # n ≥ 1 always (whitespace count + 1)
         n_frag = last_seq - first_seq + 1
@@ -396,7 +340,7 @@ def pack_sequences(sf_dir: str, seq_len: int = 256):
             }
         )
 
-    return nt.groupby("_bucket").map_groups(explode, batch_format="pandas")
+    return ranges(_doc_tokens(sf_dir), "doc_id", explode, totals=("n_tokens",))
 
 
 def source_mixture_sample(sf_dir: str, mult: int = 4):
@@ -511,6 +455,21 @@ def bpe_train_merges(sf_dir: str, n_merges: int = 20, top_v: int = 5_000):
     return bpe_merges_from_vocab(vocab, n_merges)
 
 
+def _ntile(n_total: int, tiles: int):
+    """DuckDB's NTILE(tiles) id of each 1-based global rank among
+    ``n_total`` rows: the first ``n_total % tiles`` tiles get one extra
+    row."""
+    q, rem = divmod(n_total, tiles)
+
+    def tile_of(rn: np.ndarray) -> np.ndarray:
+        r0 = rn - 1
+        head = r0 < rem * (q + 1)
+        t_ = np.where(head, r0 // (q + 1), rem + (r0 - rem * (q + 1)) // max(q, 1))
+        return (t_ + 1).astype(np.int64)
+
+    return tile_of
+
+
 def stratified_sample_by_decile(sf_dir: str, tiles: int = 10, k: int = 20):
     """Quantile-stratified deterministic sampling: rank every document by
     (n_chars, doc_id), cut into NTILE(tiles) strata, and keep the k
@@ -518,57 +477,27 @@ def stratified_sample_by_decile(sf_dir: str, tiles: int = 10, k: int = 20):
     samples uniformly across the quality distribution instead of from its
     head.
 
-    Scale shape: the ``global_row_number`` machinery (scalar [lo,hi] pass →
-    order-preserving value-range bucket counts → prefix offsets → in-bucket
-    rank); the NTILE id is CLOSED-FORM from the global rank (first N%tiles
-    strata get one extra row — DuckDB semantics), and per-stratum selection
-    is a per-bucket partial top-k (each bucket emits ≤k rows per stratum it
-    intersects), so the final merge sees ≤B·k·tiles rows, never the table."""
+    Scale shape: ``buckets.ranges`` on (n_chars, doc_id) gives each range
+    its rows in order and the row count before it, so the global rank is
+    that count + local position; the NTILE id is CLOSED-FORM from the
+    global rank (first N%tiles strata get one extra row — DuckDB
+    semantics), and per-stratum selection is a per-range partial top-k
+    (each range emits ≤k rows per stratum it intersects), so the final
+    merge sees ≤ranges·k·tiles rows, never the table."""
     ds = _read(sf_dir, "documents", ["doc_id", "n_chars"])
+    tile_of = _ntile(ds.count(), tiles)
 
-    # sampled range (first blocks): clip makes any monotone bucket fn
-    # correct — see global_row_number, which dropped its exact-min/max scan
-    sample = ds.limit(4096).to_pandas()["n_chars"].to_numpy()
-    lo, hi = int(sample.min()), int(sample.max())
-    span = float(hi - lo) or 1.0
-
-    def bucket_of(v: np.ndarray) -> np.ndarray:
-        b = ((v - lo) / span * N_RANGE_BUCKETS).astype(np.int64)
-        return np.clip(b, 0, N_RANGE_BUCKETS - 1)
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        v = t.column("n_chars").to_numpy(zero_copy_only=False)
-        return t.append_column("_bucket", pa.array(bucket_of(v)))
-
-    counts = _range_bucket_counts(ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True))
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
-    n_total = int(counts.sum())
-    q, rem = divmod(n_total, tiles)
-
-    def tile_of(rn: np.ndarray) -> np.ndarray:
-        # DuckDB NTILE: the first rem tiles get q+1 rows
-        r0 = rn - 1
-        head = r0 < rem * (q + 1)
-        t_ = np.where(head, r0 // (q + 1), rem + (r0 - rem * (q + 1)) // max(q, 1))
-        return (t_ + 1).astype(np.int64)
-
-    def rank_tile_topk(g: pd.DataFrame) -> pd.DataFrame:
-        b = int(g["_bucket"].iloc[0])
-        g = g.sort_values(["n_chars", "doc_id"], kind="mergesort")
-        rn = offsets[b] + np.arange(1, len(g) + 1, dtype=np.int64)
+    def rank_tile_topk(g: pd.DataFrame, before: dict) -> pd.DataFrame:
+        rn = before["rows"] + np.arange(1, len(g) + 1, dtype=np.int64)
         d = g["doc_id"].to_numpy(dtype=np.int64)
         hh = ((d % 2_147_483_648) * KNUTH_MULT) % 2_147_483_648
         cand = pd.DataFrame({"tile": tile_of(rn), "doc_id": d, "hh": hh})
-        # per-stratum partial top-k INSIDE the bucket — the final merge
-        # never sees more than k rows per (bucket, stratum)
+        # per-stratum partial top-k INSIDE the range — the final merge
+        # never sees more than k rows per (range, stratum)
         cand = cand.sort_values(["tile", "hh", "doc_id"], kind="mergesort")
         return cand.groupby("tile", sort=False).head(k)
 
-    cand = (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(rank_tile_topk, batch_format="pandas")
-    )
+    cand = ranges(ds, ["n_chars", "doc_id"], rank_tile_topk)
 
     def final_topk(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["hh", "doc_id"], kind="mergesort").head(k)
@@ -703,50 +632,26 @@ def classifier_auc(sf_dir: str):
     evaluation metric a training pipeline gates on. Mann-Whitney rank form
     with AVERAGE ranks for ties: AUC = (Σ r̄_pos − P(P+1)/2) / (P·N).
 
-    Scale shape: probabilities bucket into order-preserving value ranges
-    (prob ∈ [0,1], bucket = ⌊p·B⌋ — equal probs share a bucket, so tie
-    groups never straddle a boundary and average ranks are exact
-    in-bucket); per-bucket counts → prefix offsets (B ints to the driver);
-    each bucket then contributes 3 scalars (Σ r̄ over positives, P, N).
-    Rank sums are half-integers < 2⁵³, so the distributed result is
-    BIT-equal to a single-process computation (pinned in tests)."""
-    scored = logreg_quality_train(sf_dir)
+    Scale shape: no ranks at all. Scores are rounded to 6 dp, so the
+    integer micro-probability ``round(prob·1e6)`` names each tie group
+    exactly; ``combine`` counts positives and negatives per tie group, and
+    on the driver a group of c rows after ``before`` rows has average rank
+    before + (c+1)/2. 2·Σ r̄_pos is then an exact integer sum, so the
+    result is BIT-equal to a single-process computation (pinned in
+    tests)."""
 
-    def bucket_of(p: np.ndarray) -> np.ndarray:
-        return np.clip((p * N_RANGE_BUCKETS).astype(np.int64), 0, N_RANGE_BUCKETS - 1)
+    def micro(t: pa.Table) -> pa.Table:
+        y = pc.cast(t.column("label"), pa.int64())
+        q = np.round(t.column("prob").to_numpy(zero_copy_only=False) * 1e6).astype(np.int64)
+        return pa.table({"q": pa.array(q), "pos": y, "neg": pc.subtract(1, y)})
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        p = t.column("prob").to_numpy(zero_copy_only=False)
-        return t.append_column("_bucket", pa.array(bucket_of(p)))
-
-    scored = scored.materialize()  # two consumers: counts pass + rank pass
-    counts = _range_bucket_counts(scored.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True))
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
-
-    def rank_partial(g: pd.DataFrame) -> pd.DataFrame:
-        b = int(g["_bucket"].iloc[0])
-        g = g.sort_values(["prob", "doc_id"], kind="mergesort")
-        # average rank per tie group of prob (global: offset + local pos)
-        local = np.arange(1, len(g) + 1, dtype=np.float64) + float(offsets[b])
-        pr = g["prob"].to_numpy()
-        s = pd.Series(local).groupby(pr, sort=False).transform("mean").to_numpy()
-        y = g["label"].to_numpy(dtype=np.int64)
-        return pd.DataFrame(
-            {
-                "r_pos": [float(s[y == 1].sum())],
-                "n_pos": [int((y == 1).sum())],
-                "n_neg": [int((y == 0).sum())],
-            }
-        )
-
-    agg = (
-        scored.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(rank_partial, batch_format="pandas")
-        .sum(["r_pos", "n_pos", "n_neg"])
-    )
-    P, N = int(agg["sum(n_pos)"]), int(agg["sum(n_neg)"])
-    auc = (float(agg["sum(r_pos)"]) - P * (P + 1) / 2.0) / (P * N)
+    scored = logreg_quality_train(sf_dir).map_batches(micro, batch_format="pyarrow", zero_copy_batch=True)
+    f = combine_frame(scored, "q", {"n_pos": ("pos", "sum"), "n_neg": ("neg", "sum")})
+    pos, c = f["n_pos"].to_numpy(), (f["n_pos"] + f["n_neg"]).to_numpy()
+    before = np.cumsum(c) - c
+    r_pos2 = int((pos * (2 * before + c + 1)).sum())  # 2·Σ r̄_pos
+    P, N = int(pos.sum()), int(f["n_neg"].sum())
+    auc = (r_pos2 / 2.0 - P * (P + 1) / 2.0) / (P * N)
     return pd.DataFrame([{"auc": float(np.round(auc, 6)), "n_pos": np.int64(P), "n_neg": np.int64(N)}])
 
 
@@ -759,47 +664,18 @@ def padding_waste_by_length_tile(sf_dir: str, tiles: int = 10):
 
     One corpus pass after the rank plumbing: waste = n·max − Σlen is
     CLOSED-FORM from per-tile (n, Σlen, max) integer partials, so the
-    driver merges tiles×B tiny rows — no second pass, no value shuffle.
-    Rank machinery = ``global_row_number`` (sampled-range value buckets →
-    prefix offsets → in-bucket rank)."""
+    driver merges tiles × ranges tiny rows — no second pass, no value shuffle.
+    Rank machinery = ``buckets.ranges`` on (n_chars, doc_id), as in
+    ``stratified_sample_by_decile``."""
     ds = _read(sf_dir, "documents", ["doc_id", "n_chars"])
+    tile_of = _ntile(ds.count(), tiles)
 
-    sample = ds.limit(4096).to_pandas()["n_chars"].to_numpy()
-    lo, hi = int(sample.min()), int(sample.max())
-    span = float(hi - lo) or 1.0
-
-    def bucket_of(v: np.ndarray) -> np.ndarray:
-        b = ((v - lo) / span * N_RANGE_BUCKETS).astype(np.int64)
-        return np.clip(b, 0, N_RANGE_BUCKETS - 1)
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        v = t.column("n_chars").to_numpy(zero_copy_only=False)
-        return t.append_column("_bucket", pa.array(bucket_of(v)))
-
-    counts = _range_bucket_counts(ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True))
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
-    n_total = int(counts.sum())
-    q, rem = divmod(n_total, tiles)
-
-    def tile_of(rn: np.ndarray) -> np.ndarray:
-        r0 = rn - 1
-        head = r0 < rem * (q + 1)
-        t_ = np.where(head, r0 // (q + 1), rem + (r0 - rem * (q + 1)) // max(q, 1))
-        return (t_ + 1).astype(np.int64)
-
-    def tile_partials(g: pd.DataFrame) -> pd.DataFrame:
-        b = int(g["_bucket"].iloc[0])
-        g = g.sort_values(["n_chars", "doc_id"], kind="mergesort")
-        rn = offsets[b] + np.arange(1, len(g) + 1, dtype=np.int64)
+    def tile_partials(g: pd.DataFrame, before: dict) -> pd.DataFrame:
+        rn = before["rows"] + np.arange(1, len(g) + 1, dtype=np.int64)
         d = pd.DataFrame({"tile": tile_of(rn), "len": g["n_chars"].to_numpy(dtype=np.int64)})
-        a = d.groupby("tile", sort=False)["len"].agg(n="size", s="sum", mx="max").reset_index()
-        return a
+        return d.groupby("tile", sort=False)["len"].agg(n="size", s="sum", mx="max").reset_index()
 
-    tiles_ds = (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_bucket")
-        .map_groups(tile_partials, batch_format="pandas")
-    )
+    tiles_ds = ranges(ds, ["n_chars", "doc_id"], tile_partials)
     f = combine_frame(tiles_ds, "tile", {"n_docs": ("n", "sum"), "s": ("s", "sum"), "max_len": ("mx", "max")})
     return pd.DataFrame(
         {

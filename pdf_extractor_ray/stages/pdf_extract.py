@@ -31,10 +31,6 @@ BAND_Y_MAX = 760  # tokens above → running header
 COLUMN_GAP_MIN = 60  # x-projection gap that constitutes a column cut
 
 
-class PdfLayoutError(ValueError):
-    pass
-
-
 class PdfLayoutExtractor:
     """Stateful layout parser: construct once per actor, call per payload."""
 

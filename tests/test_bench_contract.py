@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_bench_panel_names_exist_in_queries():
     import importlib.util
 
-    for mod_name, path in (("bench", "/root/repo/bench.py"), ("__ray_entry__", "/root/repo/__ray_entry__.py")):
+    for mod_name, path in (("bench", ROOT / "bench.py"), ("__ray_entry__", ROOT / "__ray_entry__.py")):
         spec = importlib.util.spec_from_file_location(mod_name, path)
         m = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(m)
@@ -38,7 +41,7 @@ def test_bench_headline_only_prints_one_json_line():
         text=True,
         check=True,
         timeout=240,
-        cwd="/root/repo",
+        cwd=ROOT,
     ).stdout
     lines = [l for l in out.strip().splitlines() if l.strip()]
     assert len(lines) == 1, f"stdout must be ONE JSON line, got: {lines}"

@@ -1,4 +1,5 @@
-"""Scale-derived bucket counts and the ``buckets.cogroup`` contract.
+"""Scale-derived bucket counts and the contracts of ``buckets.cogroup``,
+``combine`` and ``ranges``.
 
 ``cogroup`` never partitions every input into a fixed 64 buckets: the
 count derives from the input's metadata row count so one bucket's pandas
@@ -16,7 +17,9 @@ frame is memory-bounded by design. These tests pin
    callback's name; ``combine`` is block-order independent, exact past
    2^53, counts rows, handles multi-column keys and typed empty inputs,
    and ``combine_frame`` returns rows sorted by key on both merge paths;
-4. static guards: hand-rolled ``groupby("_bucket")`` shuffles and
+4. ``ranges``: a hot sort value is split by its tie-break, and an empty
+   input ranks to a typed empty result;
+5. static guards: hand-rolled ``groupby("_bucket")`` shuffles and
    per-key partial merges outside ``combine`` stay gone.
 """
 
@@ -118,6 +121,14 @@ def test_derive_floor_and_scaling(sf_dir, monkeypatch):
         "part_brand_stats",
         "sliding_window_agg",
         "rollup_counts",
+        "global_row_number",
+        "gini_revenue_index",
+        "token_budget_shards",
+        "pack_sequences",
+        "stratified_sample_by_decile",
+        "padding_waste_by_length_tile",
+        "classifier_auc",
+        "pagerank",
     ],
 )
 def test_bucket_count_invariance(sf_dir, qname, monkeypatch):
@@ -127,12 +138,11 @@ def test_bucket_count_invariance(sf_dir, qname, monkeypatch):
     count. The forced size also sends every ``combine`` (quality_by_host,
     pricing_summary, windows, benford, distinct tokens, degree histogram,
     ``_dedup_verified``, weekly revenue, token stats, brand stats, rollup)
-    to its co-group merge."""
+    to its co-group merge, and every ``ranges`` site (ranks, Gini, token
+    prefix sums, NTILE strata) to many small ranges."""
     import importlib.util
 
-    spec = importlib.util.spec_from_file_location(
-        "__ray_entry__", "/root/repo/__ray_entry__.py"
-    )
+    spec = importlib.util.spec_from_file_location("__ray_entry__", PIPELINES.parent.parent / "__ray_entry__.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     fn = mod.queries()[qname]
@@ -405,19 +415,54 @@ def test_combine_of_empty_input(tmp_path):
     assert len(combine(lazy, "s", {"n": (None, "count")}).to_pandas()) == 0
 
 
-#: functions whose bucket id carries meaning and so keep their own
-#: groupby("_bucket") (the list in the buckets.py docstring)
-RANGE_PARTITION_SITES = {
-    "relational.py": {"global_row_number", "gini_revenue_index"},
-    "training.py": {
-        "token_budget_shards",
-        "pack_sequences",
-        "stratified_sample_by_decile",
-        "classifier_auc",
-        "padding_waste_by_length_tile",
-    },
-    "graph.py": {"_pagerank_round", "_pagerank_finish"},
-}
+def _orders(path, key, price):
+    import pyarrow.parquet as pq
+
+    pq.write_table(
+        pa.table({"o_orderkey": pa.array(key, pa.int64()), "o_totalprice": pa.array(price, pa.float64())}),
+        path / "orders.parquet",
+    )
+
+
+def test_ranges_splits_a_hot_sort_value(tmp_path, monkeypatch):
+    """90% of 100,000 orders share one price. Forced to 100 ranges, the
+    orderkey tie-break spreads that price over many of them: the ranks
+    equal a pandas sort, and no range holds more than twice rows / ranges
+    (read from the per-range counts ``ranges`` computes for its offsets)."""
+    from pdf_extractor_ray.pipelines.relational import global_row_number
+
+    n = 100_000
+    rng = np.random.default_rng(7)
+    price = np.where(rng.random(n) < 0.9, 500.0, np.round(rng.random(n) * 1000, 2))
+    key = rng.permutation(n) + 1
+    _orders(tmp_path, key, price)
+    seen = []
+
+    def counting(*args, **kwargs):
+        seen.append(combine_frame(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(buckets, "combine_frame", counting)
+    monkeypatch.setattr(buckets, "ROWS_PER_BUCKET", 1_000)
+    got = global_row_number(str(tmp_path)).to_pandas().sort_values("rn")
+    want = pd.DataFrame({"k": key, "p": price}).sort_values(["p", "k"], ascending=[False, True])
+    assert got["o_orderkey"].tolist() == want["k"].tolist()
+    assert got["rn"].tolist() == list(range(1, n + 1))
+    (counts,) = seen
+    assert len(counts) > 50
+    assert counts["rows"].max() <= 2 * n / derive_n_buckets(None, n)
+
+
+def test_global_row_number_of_no_orders_is_typed_and_empty(tmp_path):
+    """A zero-row orders table ranks to zero rows typed like the result,
+    not a KeyError from a sample frame without columns."""
+    from pdf_extractor_ray.pipelines.relational import global_row_number
+
+    _orders(tmp_path, [], [])
+    got = global_row_number(str(tmp_path))
+    assert got.count() == 0
+    schema = got.schema()
+    assert dict(zip(schema.names, map(str, schema.types))) == {"o_orderkey": "int64", "rn": "int64"}
 
 
 def _bucket_groupbys(tree: ast.AST):
@@ -456,16 +501,14 @@ def _bucket_groupbys(tree: ast.AST):
 
 
 def test_no_hand_rolled_bucket_shuffles_outside_the_primitive():
-    """Hash co-groups go through buckets.cogroup; only the range-partition
-    sites (bucket id = offset/tile/dangling route) may group on _bucket."""
+    """Hash co-groups go through buckets.cogroup and range partitions
+    through buckets.ranges: nothing outside buckets.py groups on _bucket."""
     offenders = []
     for path in sorted(PIPELINES.glob("*.py")):
         if path.name == "buckets.py":
             continue
-        allowed = RANGE_PARTITION_SITES.get(path.name, set())
         for funcs, line in _bucket_groupbys(ast.parse(path.read_text())):
-            if not allowed.intersection(funcs):
-                offenders.append(f"{path.name}:{line} in {'.'.join(funcs) or '<module>'}")
+            offenders.append(f"{path.name}:{line} in {'.'.join(funcs) or '<module>'}")
     assert offenders == []
 
 

@@ -9,12 +9,14 @@ rework changed the execution shape, not the answer.
 
 from __future__ import annotations
 
+import pathlib
+
 import pandas as pd
 import pytest
 
 from pdf_extractor_ray.pipelines.dedup import minhash_near_dup, ngram_jaccard_pairs
 
-GOLDEN_DIR = "/root/repo/tests/goldens"
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "goldens"
 
 
 def _canon(obj) -> pd.DataFrame:

@@ -9,6 +9,7 @@ all columns), and require EXACT equality — the driver value-hashes, so
 from __future__ import annotations
 
 import importlib.util
+import pathlib
 
 import duckdb
 import pandas as pd
@@ -18,7 +19,7 @@ TABLES = "region nation customer supplier part orders lineitem events documents 
 
 
 def _load_entry():
-    spec = importlib.util.spec_from_file_location("__ray_entry__", "/root/repo/__ray_entry__.py")
+    spec = importlib.util.spec_from_file_location("__ray_entry__", pathlib.Path(__file__).resolve().parent.parent / "__ray_entry__.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod

@@ -89,8 +89,8 @@ def test_shuffle_join_inner_drops_both_dangles(ray_session, tmp_path):
 
 
 def test_global_row_number_degenerate_equal_prices(ray_session, tmp_path):
-    """All-equal prices: span collapses to the 1.0 fallback, every row lands
-    in bucket 0, and ranks are a permutation-free 1..n by orderkey."""
+    """All-equal prices: the orderkey tie-break alone orders the rows, so
+    ranks are a permutation-free 1..n by orderkey."""
     pq.write_table(
         pa.table(
             {

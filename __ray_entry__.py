@@ -326,7 +326,7 @@ def oracle_sql() -> dict[str, str]:
     status_case = (
         "CASE WHEN doc_id % 50 = 17 AND doc_id % 8 = 5 THEN 'error' "
         "WHEN doc_id % 50 = 17 THEN 'empty' "
-        "WHEN length(text) = 0 THEN 'empty' ELSE 'ok' END"
+        "WHEN coalesce(length(text), 0) = 0 THEN 'empty' ELSE 'ok' END"
     )
     return {
         "extract_pages_text": (
@@ -354,7 +354,7 @@ def oracle_sql() -> dict[str, str]:
                    WHEN doc_id % 50 = 17 THEN 'no_content_blocks'
                    WHEN doc_id % 8 = 5 THEN 'no_content_tokens'
                    ELSE 'no_content_blocks' END AS error
-            FROM documents WHERE doc_id % 50 = 17 OR length(text) = 0
+            FROM documents WHERE doc_id % 50 = 17 OR coalesce(length(text), 0) = 0
         """,
         "cc_pipeline_audit": """
             WITH f AS (
@@ -383,7 +383,7 @@ def oracle_sql() -> dict[str, str]:
         """,
         "extraction_diagnostics": """
             WITH s AS (
-              SELECT CASE WHEN doc_id % 50 = 17 OR length(text) = 0 THEN 0 ELSE 1 END AS ok,
+              SELECT CASE WHEN doc_id % 50 = 17 OR coalesce(length(text), 0) = 0 THEN 0 ELSE 1 END AS ok,
                 CASE WHEN doc_id % 50 = 17 AND doc_id % 8 = 5 THEN 1
                      WHEN doc_id % 50 = 17 THEN 0
                      WHEN length(text) = 0 THEN 0 ELSE 0 END AS err,

@@ -112,7 +112,8 @@ def render_html(doc_id: int, text: str, host: str, paragraphs: int = 1) -> bytes
     joined with "\\n"); everything else is link-dense or blacklist-phrase
     boilerplate (the First-Republic footer-blacklist analog,
     /root/reference/dataextractai/parsers/first_republic_bank_parser.py:
-    393-424)."""
+    393-424). A null ``text`` renders as an empty article, like ``""``."""
+    text = text or ""
     nav_n = 3 + doc_id % 4
     nav_links = " ".join(
         f'<a href="/sec{i}">section {i} navigation link</a>' for i in range(nav_n)

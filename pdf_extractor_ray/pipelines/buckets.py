@@ -62,8 +62,9 @@ one flag, or one per column). The contract:
   count of rows before it (``tests/test_bucket_scaling.py`` forces many
   tiny ranges and a hot value);
 - empty input: ``fn`` runs once on a zero-row frame typed from the
-  schema Ray reports for ``ds`` (no columns when it reports none), and
-  its result is the typed empty output;
+  schema Ray reports for ``ds``; when it reports none (a plan ending in a
+  UDF that never ran), the frame holds only the ``by`` and ``totals``
+  columns, as int64. Its result is the typed empty output;
 - every execution it starts is consumed (a materialize, one task per
   block for the sample, the ``combine``); it starts no actor. The stage
   is named after ``fn``.
@@ -82,8 +83,15 @@ ranks on the driver. PageRank is a hash co-group on the node
 ``count`` and every distinct-key (``aggs = {}``) merge. ``aggs`` maps each
 output column to ``(input column, op)``; ``(None, "count")`` counts rows,
 like SQL ``COUNT(*)``. ``combine_frame`` is the same merge read into one
-pandas frame, for callers that finish on the driver. The contract:
+pandas frame, for callers that finish on the driver. A vector state
+(histogram bins, signature slots, feature counts) is emitted as long
+rows, one per (key, position), so one of the four ops merges it. A
+filter on the merged value (a support or heavy-hitter threshold) is a
+``.filter`` on the result. The contract:
 
+- ``keys[0]`` is the co-group key of the co-group merge, so it must be
+  the high-cardinality column: a bin index before a range id, a feature
+  before a corpus flag, a first word before a second;
 - a per-batch ``pa.Table.group_by`` partial runs as one ``map_batches``
   that Ray fuses into the caller's last map stage, and the partials are
   materialized;
@@ -107,26 +115,55 @@ pandas frame, for callers that finish on the driver. The contract:
   path and the blocks, so a float ``sum`` goes through ``combine`` only
   when every partial sum is exact: whole numbers, dyadic weights, or
   money held as integer cents (``relational._cents``);
-- empty input: zero rows, typed with the key and aggregate columns when
+- empty input: zero rows of the key and aggregate columns, typed when
   Ray reports the input's schema without running it (a read, a
-  materialized Dataset), and without columns otherwise;
+  materialized Dataset) and of Arrow's null type otherwise;
 - every execution it starts is consumed (a materialize and one
   ``ray.get`` of its blocks); it starts no actor.
 
-Merges that keep another mechanism, and why:
+Merges that keep another mechanism, and why (``MERGE_ALLOWLIST`` in
+``tests/test_bucket_scaling.py``, entry for entry; its guard flags every
+Ray grouped aggregate, every driver groupby over collected partials,
+every ``groupby(k).map_groups`` over a ``map_batches``/``cogroup`` output
+and every ``cogroup`` over one whose callback reduces with a pandas
+``groupby`` sum/min/max/agg):
 
-- sketch, argmax, histogram-array and skyline merges (HLL/KMV registers,
-  per-key argmax, ``_exact_int_quantiles_multi``'s per-range bin vectors,
-  Pareto fronts): their merge is not one of the four ops;
-- ``Mean``/``Std`` (``mean_std_agg``, ``zscore_by_group``): Ray's
-  aggregates keep their own float accumulation, which their oracles are
-  rounded against;
-- float moment sums of off-grid products (``corr_by_group``,
-  ``moment_stats_by_group``: Σxy, Σy², Σxd, …): no integer grid holds
-  them, so they keep Ray's ``Sum`` merge and its summation order;
+- Ray ``Mean``/``Std`` (``relational.mean_std_agg``,
+  ``relational.zscore_by_group``): Ray's own float accumulation, which
+  their oracles are rounded against;
+- float moment sums of off-grid products (``relational.corr_by_group``,
+  ``relational.moment_stats_by_group``: Σxy, Σy², Σxd, …): no integer
+  grid holds them, so they keep Ray's ``Sum`` and its summation order;
+- ``similarity._lloyd_round``: float centroid sums merged in
+  ``partial_id`` order, a fixed float reduction order;
 - ``textops.export_roundtrip_manifest``: a checksum summed modulo 2^k;
-- global scalar ``ds.aggregate(...)``/``ds.sum(...)`` calls: one row, no
-  key to merge on.
+- ``relational.kmv_user_overlap``: a k-min-values union, not one of the
+  four ops;
+- top-k: ``relational.vocab_oov_rate`` (top-K of each bucket's merged
+  counts) and ``training.stratified_sample_by_decile``'s ``final_topk``
+  (top-k per tile);
+- merge then a per-key finish in the same co-group:
+  ``relational.mode_by_group`` (argmax), ``relational.lineitems_above_avg_qty``
+  (the per-part average), ``relational.windowed_topk_types`` (windowed
+  top-k), ``relational.left_join_null_fill`` and
+  ``relational.clv_by_segment`` (dimension joins),
+  ``relational.hapax_ratio_by_source`` (per-source hapax count);
+- count-distinct co-groups, which run one shuffle on the distinct column:
+  ``relational.dau_engagement_by_month``, ``search.dup_ngram_spans``,
+  ``textops.inlink_counts``;
+- grouped steps over raw rows that the guard's patterns match but that
+  merge no partials: per-key sequences (``relational.funnel_conversion``,
+  ``relational.resample_ffill_hourly``, ``relational.activity_streaks``),
+  exact per-group quantiles (``relational.iqr_outliers_by_priority``),
+  candidate pairs and label messages (``dedup.minhash_candidates_ds``,
+  ``dedup.connected_components``), posting lists and span islands
+  (``search.inverted_index``, ``search.dup_span_coverage``), per-cluster
+  pruning (``similarity.semdedup``), per-document text reassembly
+  (``textops.paragraph_dedup``, ``textops.boilerplate_line_removal``) and
+  a train/eval semi-join (``training.split_contamination``).
+
+Global scalar ``ds.aggregate(...)``/``ds.sum(...)`` calls have no key to
+merge on and are not merges in this sense.
 """
 
 from __future__ import annotations
@@ -340,6 +377,7 @@ def _merged(ds, keys: list, aggs: dict):
     """``combine``'s merge: an Arrow table sorted by ``keys`` when the
     partials fit in ``ROWS_PER_BUCKET`` rows, else the co-group Dataset."""
     import ray
+    from ray.data.dataset import MaterializedDataset
 
     def grouped(t: pa.Table, specs) -> pa.Table:
         return t.group_by(keys, use_threads=False).aggregate(specs).rename_columns(keys + list(aggs))
@@ -363,10 +401,10 @@ def _merged(ds, keys: list, aggs: dict):
     # Ray runs no UDF on a zero-row block: it passes on as an input block,
     # possibly a pandas one, so only blocks with rows are partials
     tables = [t for t in ray.get(parts.to_arrow_refs()) if len(t)]
-    if not tables:
-        schema = getattr(ds.schema(fetch_if_missing=False), "base_schema", None)
-        if not isinstance(schema, pa.Schema):
-            return pa.table({})
+    if not tables:  # a materialized Dataset tells its schema without running
+        schema = getattr(ds.schema(fetch_if_missing=isinstance(ds, MaterializedDataset)), "base_schema", None)
+        if not isinstance(schema, pa.Schema):  # named columns, no types to give them
+            return pa.table({c: pa.nulls(0) for c in keys + list(aggs)})
         tables = [partial_agg(schema.empty_table())]
     merged = merge(pa.concat_tables(tables, promote_options="permissive"))
     return merged.sort_by([(k, "ascending") for k in keys])
@@ -389,8 +427,10 @@ def _slices(t: pa.Table, key: str, n: int) -> list:
 def combine(ds, keys, aggs: dict):
     """Per-key ``sum``/``min``/``max``/``count`` of ``ds``: ``aggs`` maps
     each output column to ``(input column, op)``, ``(None, "count")`` for a
-    row count; ``{}`` gives the distinct keys. Returns a Dataset of the key
-    columns, then ``aggs`` in order (module docstring)."""
+    row count; ``{}`` gives the distinct keys. ``keys[0]`` is the co-group
+    key when the partials outgrow the driver merge, so it must be the
+    high-cardinality column. Returns a Dataset of the key columns, then
+    ``aggs`` in order (module docstring)."""
     import ray
     import ray.data as rd
 
@@ -460,8 +500,10 @@ def ranges(ds, by, fn, *, descending=None, totals=()):
     src, ds = ds, ds.materialize()
     rows = ds.count()
     if rows == 0:  # a materialized empty read has lost its schema; the read has it
-        frame = _empty_frame(src).sort_values(by, ascending=ascending)
-        return rd.from_pandas(fn(frame, dict.fromkeys(["rows", *totals], 0)))
+        frame = _empty_frame(src)
+        frame = frame.assign(**{c: np.empty(0, np.int64) for c in [*by, *totals] if c not in frame})
+        out = fn(frame.sort_values(by, ascending=ascending), dict.fromkeys(["rows", *totals], 0))
+        return rd.from_arrow(pa.Table.from_pandas(out, preserve_index=False))
 
     # boundaries: a sample chosen by a hash of the tie-break column, so it
     # depends on row values only, never on blocks or their order

@@ -21,7 +21,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.sketches import MinHasher, char_ngrams, jaccard, shingles, simhash64
-from .buckets import cogroup, combine
+from .buckets import cogroup, combine, combine_frame
 
 NUM_PERM = 64
 NUM_BANDS = 16  # 16 bands × 4 rows → catches J≳0.6 with high prob
@@ -966,10 +966,11 @@ def source_minhash_similarity(sf_dir: str, num_perm: int = 128, shingle_k: int =
     estimated Jaccard = fraction of agreeing slots for every source pair.
     The corpus-overlap audit you run before mixing data sources.
 
-    Scale shape: per batch ONE partial signature row per source present
-    (vectorized reduceat sketch + per-source np.min) — the corpus never
-    shuffles; the merge sees |sources| groups; |sources| signature rows
-    (num_perm ints each) reach the driver for the closed-form pair table.
+    Scale shape: per batch one (source, slot, sig) row per document and
+    signature slot, and ``combine`` takes the ``min`` per (source, slot)
+    (its per-batch partial keeps one row per source and slot, so the
+    corpus never shuffles); |sources|·num_perm merged rows reach the
+    driver for the closed-form pair table.
     Estimator s.e. ≈ 1/√num_perm. Returns (source_a, source_b, est_jaccard)
     with source_a < source_b."""
     from ..functions.sketches import MinHasher, doc_shingle_hashes_batch
@@ -977,35 +978,21 @@ def source_minhash_similarity(sf_dir: str, num_perm: int = 128, shingle_k: int =
     ds = _read_docs(sf_dir, ("source", "text"))
     mh = MinHasher(num_perm=num_perm, shingle_k=shingle_k)
 
-    def partial(t: pa.Table) -> pa.Table:
-        texts = t.column("text").to_pylist()
-        concat, offsets = doc_shingle_hashes_batch(texts, shingle_k)
+    def slots(t: pa.Table) -> pa.Table:
+        concat, offsets = doc_shingle_hashes_batch(t.column("text").to_pylist(), shingle_k)
         sigs = mh.signatures_from_concat(concat, offsets)  # (n, num_perm), < 2^31
-        src = pd.Series(t.column("source").to_pylist())
-        rows, out = [], []
-        for s, idx in src.groupby(src).groups.items():
-            rows.append(s)
-            out.append(sigs[np.asarray(idx)].min(axis=0).astype(np.int64))
         return pa.table(
             {
-                "source": pa.array(rows, pa.string()),
-                "sig": pa.array([o.tolist() for o in out], pa.list_(pa.int64())),
+                "source": t.column("source").take(np.repeat(np.arange(t.num_rows), num_perm)),
+                "slot": pa.array(np.tile(np.arange(num_perm, dtype=np.int64), t.num_rows)),
+                "sig": pa.array(sigs.ravel().astype(np.int64)),
             }
         )
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        m = np.min(np.stack([np.asarray(s, dtype=np.int64) for s in g["sig"]]), axis=0)
-        return pd.DataFrame({"source": [g["source"].iloc[0]], "sig": [m.tolist()]})
-
-    final = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("source")
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()
-        .sort_values("source")
-    )
-    names = final["source"].to_numpy()
-    mat = np.stack([np.asarray(s, dtype=np.int64) for s in final["sig"]])
+    rows = ds.map_batches(slots, batch_format="pyarrow", zero_copy_batch=True)
+    final = combine_frame(rows, ["source", "slot"], {"sig": ("sig", "min")})  # sorted by (source, slot)
+    names = final["source"].to_numpy()[::num_perm]
+    mat = final["sig"].to_numpy(np.int64).reshape(len(names), num_perm)
     ia, ib = np.triu_indices(len(names), k=1)
     est = (mat[ia] == mat[ib]).mean(axis=1)
 
@@ -1046,10 +1033,8 @@ def source_minhash_similarity(sf_dir: str, num_perm: int = 128, shingle_k: int =
 
     parts = cogroup(
         ds.map_batches(sh_pairs, batch_format="pyarrow", zero_copy_batch=True), "h", bucket_inter
-    ).to_pandas()
-    inter = np.sum(
-        np.stack([np.asarray(v, dtype=np.int64) for v in parts["flat"]]), axis=0
-    ).reshape(S, S)
+    ).take_all()  # one row per bucket
+    inter = sum((np.asarray(r["flat"], dtype=np.int64) for r in parts), np.zeros(S * S, np.int64)).reshape(S, S)
     sizes = np.diag(inter)
     inter_ab = inter[ia, ib]
     union_ab = sizes[ia] + sizes[ib] - inter_ab

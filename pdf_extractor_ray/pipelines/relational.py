@@ -1141,12 +1141,14 @@ def _heavy_hitters_and_total(sf_dir: str, phi: float = 0.002):
        truncated to k = ⌈2/φ⌉ counters, subtracting the (k+1)-th largest
        count (the per-batch decrement); only these bounded summaries plus
        a sentinel (batch token total, decrement) cross the exchange;
-    2. candidate superset by distributed bucket merge: per-key undercount
-       is ≤ Σ decrements ≤ N/(k+1) < φN/2, so every true heavy hitter has
-       merged count > φN − Σdec — at most ~2/φ candidates survive;
-    3. exact verify pass: broadcast the candidate set, count ONLY candidate
-       tokens per batch, bucket-merge, keep count > φN (strict, float64 —
-       the oracle casts to DOUBLE so both sides compare identically).
+    2. candidate superset by ``combine``: per-key undercount is
+       ≤ Σ decrements ≤ N/(k+1) < φN/2, so every true heavy hitter has
+       merged count > φN − Σdec — at most ~2/φ candidates survive; the
+       sentinels' null-token row is dropped;
+    3. exact verify pass: broadcast the candidate set, ``combine`` counts
+       ONLY candidate tokens, keep count > φN (strict; an integer count
+       exceeds φN exactly when it exceeds floor(φN), so the filters
+       compare integers).
 
     The verify pass makes the answer exact (oracle-paired), not sketchy;
     the sketch only bounds what moves. Two passes over the text are the
@@ -1156,6 +1158,8 @@ def _heavy_hitters_and_total(sf_dir: str, phi: float = 0.002):
     token total via its sentinel rows, so consumers that need N
     (unigram_logprob_score) fold away their own counting scan (NOTES r4
     materialize/fold rule)."""
+    import math
+
     import ray
 
     ds = _read(sf_dir, "documents", ["text"])
@@ -1188,17 +1192,13 @@ def _heavy_hitters_and_total(sf_dir: str, phi: float = 0.002):
         mg_partial, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()
 
-    tot = summ.sum(["n_total", "err"])
-    n_total = int(tot["sum(n_total)"])
-    total_err = int(tot["sum(err)"])
-    thr = phi * float(n_total)
+    tot = summ.sum(["n_total", "err"]) or {}  # None on no rows
+    n_total = int(tot.get("sum(n_total)") or 0)
+    total_err = int(tot.get("sum(err)") or 0)
+    thr = math.floor(phi * float(n_total))
 
-    def cand_merge(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.dropna(subset=["token"]).groupby("token", sort=False)["n"].sum()
-        m = m[(m + total_err) > thr]
-        return pd.DataFrame({"token": m.index})
-
-    cands = cogroup(summ, "token", cand_merge).to_pandas()["token"]
+    merged = combine(summ, "token", {"n": ("n", "sum")})
+    cands = [r["token"] for r in merged.filter(expr=f"is_valid(token) and n > {thr - total_err}").take_all()]
     if len(cands) == 0:
         return (
             pd.DataFrame(
@@ -1209,29 +1209,16 @@ def _heavy_hitters_and_total(sf_dir: str, phi: float = 0.002):
             ),
             n_total,
         )
-    cand_ref = ray.put(set(cands))
+    cand_ref = ray.put(pa.array(cands, pa.string()))
 
-    def exact_partial(t: pa.Table) -> pa.Table:
+    def cand_tokens(t: pa.Table) -> pa.Table:
         texts = t.column("text").to_pylist()
-        toks = pd.Series(" ".join(texts).split(" ") if texts else [], dtype="object")
-        vc = toks[toks.isin(ray.get(cand_ref))].value_counts()
-        tok_arr = vc.index.to_numpy(dtype=object)
-        return pa.table(
-            {
-                "token": pa.array(list(tok_arr), pa.string()),
-                "n": pa.array(vc.to_numpy(dtype=np.int64)),
-            }
-        )
+        toks = pa.array(" ".join(texts).split(" ") if texts else [], pa.string())
+        return pa.table({"token": toks.filter(pc.is_in(toks, value_set=ray.get(cand_ref)))})
 
-    def exact_merge(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.groupby("token", sort=False)["n"].sum()
-        m = m[m > thr]
-        return pd.DataFrame(
-            {"token": m.index, "n_occurrences": m.to_numpy(dtype=np.int64)}
-        )
-
-    partials = ds.map_batches(exact_partial, batch_format="pyarrow", zero_copy_batch=True)
-    return cogroup(partials, "token", exact_merge), n_total
+    toks = ds.map_batches(cand_tokens, batch_format="pyarrow", zero_copy_batch=True)
+    counts = combine(toks, "token", {"n_occurrences": (None, "count")})
+    return counts.filter(expr=f"n_occurrences > {thr}"), n_total
 
 
 def median_by_group(sf_dir: str):
@@ -1719,29 +1706,20 @@ def _exact_int_quantiles_multi(ds, cols_qs: dict, n_bins: int = 1024):
         )
 
         def hist(t: pa.Table, ranges=ranges) -> pa.Table:
-            rows = {"range_id": [], "counts": []}
-            cache: dict = {}
+            """Nonzero (bin, range_id, n) cells of each range's histogram."""
+            cells = []
             for rid, (col, lo, hi) in enumerate(ranges):
-                if col not in cache:
-                    cache[col] = t.column(col).to_numpy(zero_copy_only=False)
-                c = cache[col]
-                width = hi - lo + 1
+                c = t.column(col).to_numpy(zero_copy_only=False)
                 sel = c[(c >= lo) & (c <= hi)]
-                b = (sel - lo) * n_bins // width
-                rows["range_id"].append(rid)
-                rows["counts"].append(np.bincount(b, minlength=n_bins).astype(np.int64).tolist())
-            return pa.table(
-                {
-                    "range_id": pa.array(rows["range_id"], pa.int64()),
-                    "counts": pa.array(rows["counts"], pa.list_(pa.int64())),
-                }
-            )
+                cells.append(rid * n_bins + (sel - lo) * n_bins // (hi - lo + 1))
+            counts = np.bincount(np.concatenate(cells).astype(np.int64), minlength=len(ranges) * n_bins)
+            nz = np.flatnonzero(counts)
+            return pa.table({"bin": pa.array(nz % n_bins), "range_id": pa.array(nz // n_bins), "n": pa.array(counts[nz])})
 
-        parts = ds.map_batches(hist, batch_format="pyarrow", zero_copy_batch=True).to_pandas()
-        totals = {
-            rid: np.sum(np.stack([np.asarray(v) for v in g["counts"]]), axis=0)
-            for rid, g in parts.groupby("range_id")
-        }
+        cells = ds.map_batches(hist, batch_format="pyarrow", zero_copy_batch=True)
+        f = combine_frame(cells, ["bin", "range_id"], {"n": ("n", "sum")})
+        totals = np.zeros((len(ranges), n_bins), dtype=np.int64)
+        totals[f["range_id"].to_numpy(np.int64), f["bin"].to_numpy(np.int64)] = f["n"].to_numpy(np.int64)
         for (col, q), (lo, hi, rank) in state.items():
             if lo == hi:
                 continue
@@ -2078,11 +2056,12 @@ def _packed_pair_counts(sf_dir: str, min_count: int = 1, packed_src=None):
     """Shared market-basket pair-count core (copurchase_pairs /
     association_rules_topk): aggregated (pair, n_orders) over distinct
     per-order part pairs, pair packed a<<32|b (a<b). See copurchase_pairs
-    for the shifted-lag kernel shape. ``min_count`` is the min-support
-    pushdown (VERDICT r3 wrong #2): applied as a vectorized mask inside the
-    bucket-level merge, so below-support pairs — the quadratic bulk of the
-    distinct-pair table — never leave their merge bucket. ``packed_src``
-    lets association_rules reuse one materialized packed projection."""
+    for the shifted-lag kernel shape. The per-bucket pair counts merge in
+    ``combine``; ``min_count`` is the min-support pushdown (VERDICT r3
+    wrong #2): a filter right after the merge, so below-support pairs —
+    the quadratic bulk of the distinct-pair table — never reach a caller.
+    ``packed_src`` lets association_rules reuse one materialized packed
+    projection."""
     src = packed_src if packed_src is not None else _distinct_ok_pk_packed(sf_dir)
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -2106,22 +2085,8 @@ def _packed_pair_counts(sf_dir: str, min_count: int = 1, packed_src=None):
         u, c = np.unique(allp, return_counts=True)
         return pd.DataFrame({"pair": u, "n_orders": c.astype(np.int64)})
 
-    parts = cogroup(src, "ok", pairs_in_bucket)
-
-    def merge_counts(g: pd.DataFrame) -> pd.DataFrame:
-        # bucket-level merge: one Ray group per pair-hash BUCKET, not per
-        # pair (the ~0.4 ms/group native-aggregate tax, NOTES)
-        s = g.groupby("pair", sort=False)["n_orders"].sum().reset_index()
-        if min_count > 1:
-            s = s[s["n_orders"] >= min_count]
-        return pd.DataFrame(
-            {
-                "pair": s["pair"].to_numpy(dtype=np.int64),
-                "n_orders": s["n_orders"].to_numpy(dtype=np.int64),
-            }
-        )
-
-    return cogroup(parts, "pair", merge_counts)
+    counts = combine(cogroup(src, "ok", pairs_in_bucket), "pair", {"n_orders": ("n_orders", "sum")})
+    return counts.filter(expr=f"n_orders >= {int(min_count)}") if min_count > 1 else counts
 
 
 def copurchase_pairs(sf_dir: str, k: int = 20):
@@ -2177,7 +2142,10 @@ def association_rules_topk(sf_dir: str, k: int = 20, min_count: int = 2):
             {"n": [int(np.unique(g["packed"].to_numpy() >> 32).size)]}
         )
 
-    n_orders = int(cogroup(dp, "ok", order_uniques).to_pandas()["n"].sum())
+    n_orders = int(cogroup(dp, "ok", order_uniques).sum("n") or 0)  # None on no rows
+    if n_orders == 0:  # no orders, no rules: the result's columns and types
+        ids = np.empty(0, np.int64)
+        return pd.DataFrame({"ante": ids, "cons": ids, "n_orders": ids, "confidence": np.empty(0), "lift": np.empty(0)})
 
     # min-support pushdown: below-support pairs are masked inside the
     # distributed pair merge, so the collect here is the FILTERED rule
@@ -2544,79 +2512,37 @@ def bigram_pmi_topk(sf_dir: str, min_count: int = 5, k: int = 30):
     tokenizer-merge candidates). PMI = log2((C(ab)/M) / ((C(a)/N)(C(b)/N)))
     over bigrams with C(ab) ≥ min_count.
 
-    Scale shape: each batch emits distinct-bigram and distinct-unigram
-    COUNT partials (token instances never shuffle); both merge in
-    token-hash buckets; the unigram table is VOCABULARY-sized and
-    broadcast once into the PMI finish (the ``unigram_logprob_score``
-    convention — at open-web scale, restrict to the heavy-hitter vocab
-    first). The final top-k sorts only the filtered bigram table."""
+    Scale shape: each batch emits one (w1, w2) row per bigram instance
+    and one (w1, null) row per token; ``combine`` counts both per key
+    (its per-batch partial means token instances never shuffle), and a
+    null ``w2`` is a group of its own, the unigram count. The unigram
+    table is VOCABULARY-sized and broadcast once into the PMI finish (the
+    ``unigram_logprob_score`` convention — at open-web scale, restrict to
+    the heavy-hitter vocab first). The final top-k sorts only the filtered
+    bigram table."""
     import ray
-
-    from ..functions.sketches import fnv1a64_batch
 
     ds = _read(sf_dir, "documents", ["text"])
 
-    def partials(t: pa.Table) -> pa.Table:
-        texts = t.column("text").to_pylist()
-        toks_per_doc = [s.split(" ") for s in texts]
-        uni: dict[str, int] = {}
-        big: dict[tuple[str, str], int] = {}
-        for toks in toks_per_doc:
-            for w in toks:
-                uni[w] = uni.get(w, 0) + 1
-            for a, b in zip(toks[:-1], toks[1:]):
-                big[(a, b)] = big.get((a, b), 0) + 1
-        w1 = [a for a, _ in big] + list(uni)
-        w2 = [b for _, b in big] + [None] * len(uni)
-        n = [*big.values(), *uni.values()]
-        return pa.table(
-            {
-                "w1": pa.array(w1, type=pa.string()),
-                "w2": pa.array(w2, type=pa.string()),
-                "n": pa.array(np.asarray(n, dtype=np.int64)),
-            }
-        )
+    def instances(t: pa.Table) -> pa.Table:
+        w1, w2 = [], []
+        for text in t.column("text").to_pylist():
+            toks = text.split(" ")
+            w1 += toks[:-1] + toks
+            w2 += toks[1:] + [None] * len(toks)
+        return pa.table({"w1": pa.array(w1, pa.string()), "w2": pa.array(w2, pa.string())})
 
-    def add_key(t: pa.Table) -> pa.Table:
-        kh = fnv1a64_batch([s.encode() for s in t.column("w1").to_pylist()])
-        return t.append_column("_khash", pa.array(kh.astype(np.int64)))
-
-    def merge_counts(g: pd.DataFrame) -> pd.DataFrame:
-        s = g.groupby(["w1", "w2"], sort=False, dropna=False)["n"].sum().reset_index()
-        s["n"] = s["n"].astype(np.int64)
-        return s
-
-    counts = cogroup(
-        ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True).map_batches(
-            add_key, batch_format="pyarrow", zero_copy_batch=True
-        ),
-        "_khash",
-        merge_counts,
-    ).materialize()
+    rows = ds.map_batches(instances, batch_format="pyarrow", zero_copy_batch=True)
+    counts = combine(rows, ["w1", "w2"], {"n": (None, "count")}).materialize()
 
     # vocabulary-sized unigram side: to driver once, broadcast into the finish
-    uni_df = (
-        counts.map_batches(
-            lambda t: t.filter(pc.is_null(t.column("w2"))).select(["w1", "n"]),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .to_pandas()
-        .set_index("w1")["n"]
-    )
-    n_tok = float(uni_df.sum())
-    uni_ref = ray.put((uni_df.to_dict(), n_tok))
+    uni_df = counts.filter(expr="is_null(w2)").to_pandas()
+    uni = dict(zip(uni_df["w1"], uni_df["n"])) if len(uni_df) else {}
+    n_tok = float(sum(uni.values()))
+    uni_ref = ray.put((uni, n_tok))
 
-    # total bigram instances: one scalar
-    m_big = float(
-        counts.map_batches(
-            lambda t: pa.table(
-                {"n": pa.array([pc.sum(t.filter(pc.is_valid(t.column("w2"))).column("n")).as_py() or 0], type=pa.int64())}
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ).sum("n")
-    )
+    # total bigram instances: one scalar (None on no rows)
+    m_big = float(counts.filter(expr="is_valid(w2)").sum("n") or 0)
 
     def pmi_finish(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_valid(t.column("w2")))
@@ -3315,35 +3241,20 @@ def table_checksum(sf_dir: str):
 def weighted_avg_by_group(sf_dir: str):
     """Revenue-weighted average discount per returnflag — the weighted-mean
     aggregate (plain AVG answers a different question when row importance
-    varies). Mergeable (Σwx, Σw) partials per batch, 3-group merge, one
+    varies). Σwx and Σw are exact integer sums (discount and price in
+    cents, so wx is in hundredths of a cent) merged by ``combine``; one
     division at the end; rounded 4dp both sides."""
     ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_discount", "l_extendedprice"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        tt = pa.table(
-            {
-                "l_returnflag": t.column("l_returnflag"),
-                "wx": pc.multiply(t.column("l_discount"), t.column("l_extendedprice")),
-                "w": t.column("l_extendedprice"),
-            }
-        )
-        return (
-            tt.group_by("l_returnflag")
-            .aggregate([("wx", "sum"), ("w", "sum")])
-            .rename_columns(["l_returnflag", "wx", "w"])
-        )
+    def cents(t: pa.Table) -> pa.Table:
+        w = _cents(t.column("l_extendedprice"))
+        wx = _cents(t.column("l_discount")) * w
+        return pa.table({"l_returnflag": t.column("l_returnflag"), "wx": pa.array(wx), "w": pa.array(w)})
 
-    def finish(g: pd.DataFrame) -> pd.DataFrame:
-        a = g.groupby("l_returnflag", sort=False)[["wx", "w"]].sum().reset_index()
-        return pd.DataFrame(
-            {
-                "l_returnflag": a["l_returnflag"],
-                "w_avg_discount": np.round(a["wx"].to_numpy() / a["w"].to_numpy(), 4),
-            }
-        )
-
-    parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    return parts.groupby("l_returnflag").map_groups(finish, batch_format="pandas")
+    rows = ds.map_batches(cents, batch_format="pyarrow", zero_copy_batch=True)
+    f = combine_frame(rows, "l_returnflag", {"wx": ("wx", "sum"), "w": ("w", "sum")})
+    avg = f["wx"].to_numpy(dtype=np.float64) / (f["w"].to_numpy(dtype=np.float64) * 100.0)
+    return pd.DataFrame({"l_returnflag": f["l_returnflag"], "w_avg_discount": np.round(avg, 4)})
 
 
 def benford_first_digit(sf_dir: str):
@@ -3372,8 +3283,9 @@ def winsorized_mean_by_group(sf_dir: str, q_lo=(1, 10), q_hi=(9, 10)):
     location estimate curation uses where a plain mean chases outliers.
 
     Scale shape: pass 1 yields one (qlo, qhi) row per group (5 groups →
-    driver-sized, broadcast); pass 2 clips vectorized and emits per-batch
-    (Σclipped, n) partials — the mean never shuffles raw values."""
+    driver-sized, broadcast); pass 2 clips vectorized and ``combine`` sums
+    the clipped totals in integer cents (exact: the fences are prices) and
+    counts them per group — the mean never shuffles raw values."""
     from fractions import Fraction
     from math import ceil
 
@@ -3401,37 +3313,16 @@ def winsorized_mean_by_group(sf_dir: str, q_lo=(1, 10), q_hi=(9, 10)):
         {r.o_orderpriority: (r.qlo, r.qhi) for r in qs.itertuples(index=False)}
     )
 
-    def clip_partial(t: pa.Table) -> pa.Table:
+    def clip_cents(t: pa.Table) -> pa.Table:
         qmap = ray.get(q_ref)
-        df = pd.DataFrame(
-            {
-                "k": t.column("o_orderpriority").to_pylist(),
-                "v": t.column("o_totalprice").to_numpy(zero_copy_only=False),
-            }
-        )
-        lo = df["k"].map(lambda k: qmap[k][0]).to_numpy()
-        hi = df["k"].map(lambda k: qmap[k][1]).to_numpy()
-        df["v"] = np.clip(df["v"].to_numpy(), lo, hi)
-        a = df.groupby("k", sort=False)["v"].agg(s="sum", n="size").reset_index()
-        return pa.table(
-            {
-                "o_orderpriority": pa.array(a["k"], pa.string()),
-                "s": pa.array(a["s"].to_numpy()),
-                "n": pa.array(a["n"].to_numpy(dtype=np.int64)),
-            }
-        )
+        lo, hi = np.array([qmap[k] for k in t.column("o_orderpriority").to_pylist()]).reshape(-1, 2).T
+        v = np.clip(t.column("o_totalprice").to_numpy(zero_copy_only=False), lo, hi)
+        return pa.table({"o_orderpriority": t.column("o_orderpriority"), "cents": pa.array(_cents(pa.array(v)))})
 
-    def finish(g: pd.DataFrame) -> pd.DataFrame:
-        a = g.groupby("o_orderpriority", sort=False)[["s", "n"]].sum().reset_index()
-        return pd.DataFrame(
-            {
-                "o_orderpriority": a["o_orderpriority"],
-                "w_mean": np.round(a["s"].to_numpy() / a["n"].to_numpy(), 4),
-            }
-        )
-
-    parts = ds.map_batches(clip_partial, batch_format="pyarrow", zero_copy_batch=True)
-    return parts.groupby("o_orderpriority").map_groups(finish, batch_format="pandas")
+    rows = ds.map_batches(clip_cents, batch_format="pyarrow", zero_copy_batch=True)
+    f = combine_frame(rows, "o_orderpriority", {"s": ("cents", "sum"), "n": (None, "count")})
+    mean = f["s"].to_numpy(dtype=np.float64) / (f["n"].to_numpy(dtype=np.float64) * 100.0)
+    return pd.DataFrame({"o_orderpriority": f["o_orderpriority"], "w_mean": np.round(mean, 4)})
 
 
 def chi2_independence(sf_dir: str):
@@ -4305,8 +4196,10 @@ def iqr_outliers_by_priority(sf_dir: str):
             {"o_orderpriority": [g["o_orderpriority"].iloc[0]], "q1": [q1], "q3": [q3]}
         )
 
-    fences = (
-        cds.groupby("o_orderpriority").map_groups(pick, batch_format="pandas").to_pandas()
+    # five rows; read as records so that no rows still give the columns
+    fences = pd.DataFrame(
+        cds.groupby("o_orderpriority").map_groups(pick, batch_format="pandas").take_all(),
+        columns=["o_orderpriority", "q1", "q3"],
     )
     fmap = {
         r.o_orderpriority: (int(r.q1), int(r.q3)) for r in fences.itertuples(index=False)
@@ -4395,8 +4288,8 @@ def countmin_token_counts(sf_dir: str, width: int = 8192, depth: int = 4):
     (heavy_hitter_tokens) — CM answers point queries for ANY key after
     one pass, MG only tracks the top set. Per-batch partials are the
     sketch's nonzero cells over a bounded depth×width grid (token keys
-    never shuffle; the ≤32k-cell grid does), merged in 64 idx-hash
-    buckets, and the merged sketch — constant-size by design — is the
+    never shuffle; the ≤32k-cell grid does), summed per cell by
+    ``combine``, and the merged sketch — constant-size by design — is the
     only thing the driver ever holds. Estimates are queried for exactly
     the tokens heavy_hitter_tokens proves exact, so the one-sided bound
     (est ≥ true; est ≤ true + N/width w.h.p. per row, min over rows) is
@@ -4440,14 +4333,9 @@ def countmin_token_counts(sf_dir: str, width: int = 8192, depth: int = 4):
         return pa.table({"idx": pa.array(nz), "n": pa.array(flat[nz])})
 
     parts = ds.map_batches(cm_partial, batch_format="pyarrow", zero_copy_batch=True)
-
-    def merge_cells(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.groupby("idx", sort=False)["n"].sum()
-        return pd.DataFrame({"idx": m.index.to_numpy(dtype=np.int64), "n": m.to_numpy()})
-
-    cells = cogroup(parts, "idx", merge_cells).to_pandas()
+    cells = combine_frame(parts, "idx", {"n": ("n", "sum")})
     flat = np.zeros(len(seeds) * width, dtype=np.int64)
-    flat[cells["idx"].to_numpy()] = cells["n"].to_numpy()
+    flat[cells["idx"].to_numpy(dtype=np.int64)] = cells["n"].to_numpy(dtype=np.int64)
 
     exact = heavy_hitter_tokens(sf_dir)
     exact = exact if isinstance(exact, pd.DataFrame) else exact.to_pandas()
@@ -4719,9 +4607,9 @@ def rfm_quartile_segments(sf_dir: str):
     scores are 1 + Σ(v > t_q) so ties sit below the boundary identically
     on both engines; all metrics integer (µs → floor-div days, cents).
 
-    Scale shape: per-batch per-customer partials (max date, count, cents
-    sum) → ONE customer-bucket merge (customers never become Ray groups);
-    global max date is a scalar reduce; the three quartile thresholds
+    Scale shape: one ``combine`` of the per-order rows per customer (max
+    date, count, cents sum; customers never become Ray groups); global
+    max date is a scalar reduce; the three quartile thresholds
     come from the r4 generalized distributed selection
     (``_exact_int_quantiles`` — ~3 histogram scans of the CUSTOMER-sized
     metric table, no sort); scoring is a stateless broadcast-threshold
@@ -4729,38 +4617,20 @@ def rfm_quartile_segments(sf_dir: str):
     DAY_US = 86_400_000_000
     ds = _read(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_totalprice"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "ck": t.column("o_custkey").to_numpy(zero_copy_only=False).astype(np.int64),
-                "us": t.column("o_orderdate")
-                .to_numpy(zero_copy_only=False)
-                .astype("datetime64[us]")
-                .astype(np.int64),
-                "cents": _cents(t.column("o_totalprice")),
-            }
-        )
-        g = df.groupby("ck", sort=False).agg(
-            last_us=("us", "max"), f_orders=("ck", "size"), m_cents=("cents", "sum")
-        )
+    def per_order(t: pa.Table) -> pa.Table:
+        us = t.column("o_orderdate").to_numpy(zero_copy_only=False).astype("datetime64[us]").astype(np.int64)
         return pa.table(
             {
-                "o_custkey": pa.array(g.index.to_numpy(dtype=np.int64)),
-                "last_us": pa.array(g["last_us"].to_numpy(dtype=np.int64)),
-                "f_orders": pa.array(g["f_orders"].to_numpy(dtype=np.int64)),
-                "m_cents": pa.array(g["m_cents"].to_numpy(dtype=np.int64)),
+                "o_custkey": pc.cast(t.column("o_custkey"), pa.int64()),
+                "us": pa.array(us),
+                "cents": pa.array(_cents(t.column("o_totalprice"))),
             }
         )
 
-    def merge_b(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.groupby("o_custkey", sort=False).agg(
-            last_us=("last_us", "max"), f_orders=("f_orders", "sum"), m_cents=("m_cents", "sum")
-        )
-        return m.reset_index()
-
-    parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    merged = cogroup(parts, "o_custkey", merge_b).materialize()
-    gmax = int(merged.max("last_us"))
+    rows = ds.map_batches(per_order, batch_format="pyarrow", zero_copy_batch=True)
+    aggs = {"last_us": ("us", "max"), "f_orders": (None, "count"), "m_cents": ("cents", "sum")}
+    merged = combine(rows, "o_custkey", aggs).materialize()
+    gmax = int(merged.max("last_us") or 0)  # None on no rows
 
     def add_days(t: pa.Table) -> pa.Table:
         last = t.column("last_us").to_numpy(zero_copy_only=False)
@@ -4781,7 +4651,7 @@ def rfm_quartile_segments(sf_dir: str):
     multi = _exact_int_quantiles_multi(
         metrics, {c: QS for c in ("r_days", "f_orders", "m_cents")}
     )
-    thr = {col: list(multi[col].values()) for col in ("r_days", "f_orders", "m_cents")}
+    thr = {col: list(multi.get(col, {}).values()) for col in ("r_days", "f_orders", "m_cents")}
 
     def score(t: pa.Table) -> pa.Table:
         cols = {"c_custkey": t.column("c_custkey")}
@@ -5330,11 +5200,12 @@ def gini_revenue_index(sf_dir: str):
     s1 = sum(int(s1l) + int(off) * int(sx) for off, s1l, sx in zip(red["off"], red["s1_local"], red["sx"]))
     num = 2 * s1 - (n + 1) * s0
     den = n * s0
-    gini = np.floor(float(num) / float(den) * 1e6 + 0.5) / 1e6
+    # no customers: SQL's SUM and the ratio are NULL
+    gini = np.floor(float(num) / float(den) * 1e6 + 0.5) / 1e6 if den else np.nan
     return pd.DataFrame(
         {
             "n_customers": [np.int64(n)],
-            "total_revenue": [float(s0) / 100.0],
+            "total_revenue": [float(s0) / 100.0 if n else np.nan],
             "gini": [gini],
         }
     )

@@ -235,49 +235,29 @@ def dsir_weights(sf_dir: str, n_feat: int = 8192, target_lang: str = "en"):
     and the raw distribution from the rest. Returns (doc_id, log_weight)
     rounded to 6 dp.
 
-    Scale shape: pass 1 emits ONE dense int64 count-vector row per (batch,
-    corpus) — integer partials, so the 2-group merge is order-exact; the
-    two n_feat-length vectors are the only driver traffic, and the smoothed
-    log-ratio table (n_feat floats) broadcasts into a stateless scoring
-    pass. Per-doc scores are an O(features) cumsum-segment sum — the
+    Scale shape: pass 1 emits one (feat, is_tgt, n) row per nonzero
+    feature count of a batch and ``combine`` sums them — integer sums, so
+    the merge is order-exact; the two n_feat-length count vectors are the
+    only driver traffic, and the smoothed log-ratio table (n_feat floats)
+    broadcasts into a stateless scoring pass. Per-doc scores are an O(features) cumsum-segment sum — the
     corpus never shuffles."""
     import ray
 
     ds = _read(sf_dir, "documents", ["doc_id", "text", "lang"])
 
-    def count_partial(t: pa.Table) -> pa.Table:
+    def feature_counts(t: pa.Table) -> pa.Table:
         uni, uo, bi, bo = _hashed_feats(t, n_feat)
-        is_tgt = pc.equal(t.column("lang"), target_lang).to_numpy(
-            zero_copy_only=False
-        )
-        uni_tgt = np.repeat(is_tgt, np.diff(uo))
-        bi_tgt = np.repeat(is_tgt, np.diff(bo))
-        feats_t = np.concatenate([uni[uni_tgt], bi[bi_tgt]]).astype(np.int64)
-        feats_r = np.concatenate([uni[~uni_tgt], bi[~bi_tgt]]).astype(np.int64)
-        tgt_counts = np.bincount(feats_t, minlength=n_feat)
-        raw_counts = np.bincount(feats_r, minlength=n_feat)
-        return pa.table(
-            {
-                "corpus": pa.array(["tgt", "raw"]),
-                "counts": pa.array(
-                    [tgt_counts.astype(np.int64), raw_counts.astype(np.int64)],
-                    pa.list_(pa.int64()),
-                ),
-            }
-        )
+        is_tgt = pc.equal(t.column("lang"), target_lang).to_numpy(zero_copy_only=False).astype(np.int64)
+        tgt = np.concatenate([np.repeat(is_tgt, np.diff(uo)), np.repeat(is_tgt, np.diff(bo))])
+        cells = np.bincount(np.concatenate([uni, bi]).astype(np.int64) * 2 + tgt, minlength=2 * n_feat)
+        nz = np.flatnonzero(cells)
+        return pa.table({"feat": pa.array(nz // 2), "is_tgt": pa.array(nz % 2), "n": pa.array(cells[nz])})
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        s = np.stack(g["counts"].to_numpy()).sum(axis=0)  # ints — order-exact
-        return pd.DataFrame({"corpus": [g["corpus"].iloc[0]], "counts": [list(s)]})
-
-    totals = (
-        ds.map_batches(count_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("corpus")
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()
-    )
-    by = {r["corpus"]: np.asarray(r["counts"], dtype=np.float64) for _, r in totals.iterrows()}
-    tgt, raw = by["tgt"], by["raw"]
+    rows = ds.map_batches(feature_counts, batch_format="pyarrow", zero_copy_batch=True)
+    f = combine_frame(rows, ["feat", "is_tgt"], {"n": ("n", "sum")})
+    counts = np.zeros((n_feat, 2), dtype=np.float64)
+    counts[f["feat"].to_numpy(np.int64), f["is_tgt"].to_numpy(np.int64)] = f["n"].to_numpy(np.int64)
+    raw, tgt = counts.T
     log_ratio = np.log((tgt + 1.0) / (tgt.sum() + n_feat)) - np.log(
         (raw + 1.0) / (raw.sum() + n_feat)
     )

@@ -18,9 +18,12 @@ frame is memory-bounded by design. These tests pin
    2^53, counts rows, handles multi-column keys and typed empty inputs,
    and ``combine_frame`` returns rows sorted by key on both merge paths;
 4. ``ranges``: a hot sort value is split by its tie-break, and an empty
-   input ranks to a typed empty result;
+   input ranks to a typed empty result; the range sites and the merges
+   moved onto ``combine`` give typed empty results on zero-row tables;
 5. static guards: hand-rolled ``groupby("_bucket")`` shuffles and
-   per-key partial merges outside ``combine`` stay gone.
+   per-key partial merges outside ``combine`` (Ray grouped aggregates,
+   driver groupbys over collected partials, ``map_groups`` stages and
+   ``cogroup`` callbacks that merge partials) stay gone.
 """
 
 from __future__ import annotations
@@ -44,6 +47,18 @@ from pdf_extractor_ray.pipelines.buckets import (
 )
 
 PIPELINES = pathlib.Path(__file__).resolve().parent.parent / "pdf_extractor_ray" / "pipelines"
+
+
+def _queries() -> dict:
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("__ray_entry__", PIPELINES.parent.parent / "__ray_entry__.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.queries()
+
+
+QUERIES = _queries()
 
 
 def _canon(res) -> pd.DataFrame:
@@ -129,6 +144,22 @@ def test_derive_floor_and_scaling(sf_dir, monkeypatch):
         "padding_waste_by_length_tile",
         "classifier_auc",
         "pagerank",
+        "triangle_count",
+        "kcore_nodes",
+        "bfs_hops",
+        "copurchase_pairs",
+        "association_rules_topk",
+        "bigram_pmi_topk",
+        "countmin_token_counts",
+        "rfm_quartile_segments",
+        "heavy_hitter_tokens",
+        "weighted_avg_by_group",
+        "winsorized_mean_by_group",
+        "source_minhash_similarity",
+        "dsir_weights",
+        "exact_quantile",
+        "url_canonical_dedup",
+        "dedup_replicated_corpus",
     ],
 )
 def test_bucket_count_invariance(sf_dir, qname, monkeypatch):
@@ -136,16 +167,14 @@ def test_bucket_count_invariance(sf_dir, qname, monkeypatch):
     bucket is partitioning only (every row of a key still lands in exactly
     one bucket on every side), so per-key results cannot depend on the
     count. The forced size also sends every ``combine`` (quality_by_host,
-    pricing_summary, windows, benford, distinct tokens, degree histogram,
-    ``_dedup_verified``, weekly revenue, token stats, brand stats, rollup)
-    to its co-group merge, and every ``ranges`` site (ranks, Gini, token
-    prefix sums, NTILE strata) to many small ranges."""
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location("__ray_entry__", PIPELINES.parent.parent / "__ray_entry__.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    fn = mod.queries()[qname]
+    pricing_summary, windows, benford, distinct tokens, node degrees,
+    ``_dedup_verified``, weekly revenue, token stats, brand stats, rollup,
+    pair counts, bigram and count-min cells, RFM metrics, heavy hitters,
+    weighted and winsorized means, MinHash slots, DSIR features, quantile
+    bins, canonical URLs, content hashes) to its co-group merge, and every
+    ``ranges`` site (ranks, Gini, token prefix sums, NTILE strata) to many
+    small ranges."""
+    fn = QUERIES[qname]
 
     base = _canon(fn(sf_dir))
     monkeypatch.setattr(buckets, "ROWS_PER_BUCKET", 3)  # ceil(1000/3) = 334 buckets
@@ -415,6 +444,69 @@ def test_combine_of_empty_input(tmp_path):
     assert len(combine(lazy, "s", {"n": (None, "count")}).to_pandas()) == 0
 
 
+@pytest.fixture(scope="module")
+def zero_row_sf(sf_dir, tmp_path_factory):
+    """Every table of the test scale factor with its schema and no rows."""
+    import pyarrow.parquet as pq
+
+    out = tmp_path_factory.mktemp("sf_zero_rows")
+    for path in pathlib.Path(sf_dir).glob("*.parquet"):
+        pq.write_table(pq.read_table(path).slice(0, 0), out / path.name)
+    return str(out)
+
+
+def _result_dtypes(res):
+    """``column:dtype,…`` of a query result, or None for a Dataset whose
+    schema Ray cannot tell (its last UDF never ran)."""
+    import ray.data as rd
+
+    if isinstance(res, rd.Dataset):
+        base = getattr(res.schema(), "base_schema", None)
+        if not isinstance(base, pa.Schema):
+            return None
+        res = base.empty_table()
+    if isinstance(res, pa.Table):
+        res = res.to_pandas()
+    return ",".join(f"{c}:{t}" for c, t in res.dtypes.astype(str).items())
+
+
+_ZERO_ROW_CASES = [
+    ("token_budget_shards", 0, "doc_id:int64,n_tokens:int64,cum_tokens:int64,shard_id:int64"),
+    ("padding_waste_by_length_tile", 0, "tile:int64,n_docs:int64,max_len:int64,padding_waste:int64"),
+    ("gini_revenue_index", 1, "n_customers:int64,total_revenue:float64,gini:float64"),
+    ("iqr_outliers_by_priority", 0, "o_orderpriority:object,q1_cents:int64,q3_cents:int64,n_outliers:int64"),
+    ("triangle_count", 1, "n_nodes:int64,n_edges:int64,n_triangles:int64"),
+    ("association_rules_topk", 0, "ante:int64,cons:int64,n_orders:int64,confidence:float64,lift:float64"),
+    ("heavy_hitter_tokens", 0, "token:object,n_occurrences:int64"),
+    ("countmin_token_counts", 0, "token:object,n_exact:int64,n_est:int64"),
+    (
+        "source_minhash_similarity",
+        0,
+        "source_a:object,source_b:object,est_jaccard:float64,exact_jaccard:float64,abs_err:float64",
+    ),
+    ("exact_quantile", 0, "q:float64,val:float64"),
+    ("weighted_avg_by_group", 0, "l_returnflag:object,w_avg_discount:float64"),
+    ("winsorized_mean_by_group", 0, "o_orderpriority:object,w_mean:float64"),
+    ("rfm_quartile_segments", 0, None),
+    ("bigram_pmi_topk", 0, None),
+    ("dsir_weights", 0, None),
+]
+
+
+@pytest.mark.parametrize("qname, rows, dtypes", _ZERO_ROW_CASES, ids=[c[0] for c in _ZERO_ROW_CASES])
+def test_zero_row_inputs_give_empty_results(zero_row_sf, qname, rows, dtypes):
+    """On tables with no rows, the range sites, the iqr fences and every
+    merge moved onto ``combine`` whose caller reads it on the driver give
+    an empty result typed like a non-empty one (a scalar summary gives its
+    one row), not a KeyError from a frame without columns. A Dataset
+    result whose last UDF never ran has no schema to check."""
+    import ray.data as rd
+
+    res = QUERIES[qname](zero_row_sf)
+    assert (res.count() if isinstance(res, rd.Dataset) else len(res)) == rows
+    assert _result_dtypes(res) == dtypes
+
+
 def _orders(path, key, price):
     import pyarrow.parquet as pq
 
@@ -512,23 +604,73 @@ def test_no_hand_rolled_bucket_shuffles_outside_the_primitive():
     assert offenders == []
 
 
-#: functions that keep a partial-key merge outside ``buckets.combine``,
-#: each with the reason its merge is not sum/min/max/count/distinct (the
-#: list in the buckets.py docstring)
+#: functions that keep a partial-key merge, or a grouped step the guard's
+#: patterns match, outside ``buckets.combine``, each with its reason (the
+#: list in the buckets.py docstring, entry for entry)
 MERGE_ALLOWLIST = {
-    # Mean/Std (mean_std_agg, zscore_by_group); per-range bin vectors
-    # summed elementwise (_exact_int_quantiles_multi); float moment sums of
-    # off-grid products, whose summation order combine would change
-    # (corr_by_group, moment_stats_by_group)
+    "dedup.py": {
+        # per-band candidate pairs, not a merge
+        "minhash_candidates_ds",
+        # label-propagation messages: the min rides in the edge co-group
+        "connected_components",
+    },
     "relational.py": {
+        # Mean/Std: Ray's own float accumulation, which the oracles are
+        # rounded against
         "mean_std_agg",
         "zscore_by_group",
-        "_exact_int_quantiles_multi",
+        # float moment sums of off-grid products, whose summation order
+        # combine would change
         "corr_by_group",
         "moment_stats_by_group",
+        # k-min-values union: not one of the four ops
+        "kmv_user_overlap",
+        # top-K of the merged counts per bucket
+        "vocab_oov_rate",
+        # merge then a per-key finish in the same co-group: argmax, the
+        # per-part average, the windowed top-k, the dimension joins, the
+        # per-source hapax count
+        "mode_by_group",
+        "lineitems_above_avg_qty",
+        "windowed_topk_types",
+        "left_join_null_fill",
+        "clv_by_segment",
+        "hapax_ratio_by_source",
+        # count-distinct: one shuffle on the distinct column
+        "dau_engagement_by_month",
+        # per-key sequences over raw rows (funnel steps, hourly
+        # forward-fill, day streaks), not merges of partials
+        "funnel_conversion",
+        "resample_ffill_hourly",
+        "activity_streaks",
+        # exact per-group quantiles: each group sorted, not merged
+        "iqr_outliers_by_priority",
     },
-    # a checksum summed modulo 2^k
-    "textops.py": {"export_roundtrip_manifest"},
+    "search.py": {
+        # count-distinct: one shuffle on the distinct column
+        "dup_ngram_spans",
+        # posting lists and span islands over raw rows, not merges
+        "inverted_index",
+        "dup_span_coverage",
+    },
+    # float centroid sums merged in partial_id order (a fixed float
+    # reduction order); per-cluster pruning over raw vectors
+    "similarity.py": {"_lloyd_round", "semdedup"},
+    "textops.py": {
+        # a checksum summed modulo 2^k
+        "export_roundtrip_manifest",
+        # count-distinct: one shuffle on the distinct column
+        "inlink_counts",
+        # per-document text reassembly over raw paragraph/line rows
+        "paragraph_dedup",
+        "boilerplate_line_removal",
+    },
+    "training.py": {
+        # train/eval semi-join per content hash, not a merge
+        "split_contamination",
+        # top-k per tile
+        "stratified_sample_by_decile",
+    },
 }
 
 _RAY_GROUPED_OPS = {"aggregate", "sum", "count", "min", "max"}
@@ -563,11 +705,32 @@ def _chain_calls(node):
     return names
 
 
+_POOLED_REDUCERS = {"sum", "min", "max", "agg"}
+
+
+def _pooled_reduce(fn: ast.AST) -> bool:
+    """Whether a callback reduces with a pandas ``groupby(...)``
+    ``.sum()``/``.min()``/``.max()``/``.agg(...)``."""
+    return any(
+        isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and n.func.attr in _POOLED_REDUCERS
+        and "groupby" in _chain_calls(n.func.value)
+        for n in ast.walk(fn)
+    )
+
+
 def _partial_merges(tree: ast.AST):
-    """(enclosing function names, line) of every Ray groupby chained into
-    aggregate/sum/count/min/max, and every groupby on the driver-side pandas
-    frame of a map_batches/cogroup output (``X.to_pandas().groupby`` or a
-    name bound to one)."""
+    """(enclosing function names, line) of every per-key merge of partials
+    outside ``combine``:
+
+    - a Ray groupby chained into aggregate/sum/count/min/max;
+    - a groupby on the driver-side pandas frame of a map_batches/cogroup
+      output (``X.to_pandas().groupby`` or a name bound to one);
+    - a Ray ``groupby(k).map_groups(f)`` over a map_batches/cogroup output
+      or a name bound to one;
+    - a ``cogroup`` over such an output whose callback reduces with a
+      pandas ``groupby(...)`` sum/min/max/agg."""
     found = []
     ray_calls = {"map_batches", "cogroup"}
 
@@ -590,6 +753,25 @@ def _partial_merges(tree: ast.AST):
             and (bool(ray_calls & set(calls[1:])) or root_name(expr) in names["ray"])
         )
 
+    def over_ray(expr, names) -> bool:
+        """A map_batches/cogroup output, a name bound to one, or a list
+        holding one."""
+        if isinstance(expr, ast.List):
+            return any(over_ray(e, names) for e in expr.elts)
+        if isinstance(expr, ast.Name):
+            return expr.id in names["ray"]
+        return is_ray(expr, names["ray"])
+
+    def callback(expr, scopes):
+        """The def a callback name refers to, innermost scope first."""
+        if not isinstance(expr, ast.Name):
+            return None
+        for scope in reversed(scopes):
+            for n in ast.walk(scope):
+                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n.name == expr.id:
+                    return n
+        return None
+
     def bind(node, names):
         target = node.targets[0].id
         frame = driver_frame(node.value, names) and not isinstance(node.value, ast.Name)
@@ -601,28 +783,39 @@ def _partial_merges(tree: ast.AST):
         elif ray_ds:
             names["ray"].add(target)
 
-    def visit(node, funcs, names):
+    def visit(node, funcs, scopes, names):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            funcs, names = funcs + [node.name], {"frames": set(), "ray": set()}
+            funcs, scopes, names = funcs + [node.name], scopes + [node], {"frames": set(), "ray": set()}
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             inner = node.func.value
-            if (
-                node.func.attr in _RAY_GROUPED_OPS
-                and isinstance(inner, ast.Call)
+            ray_groupby = (
+                isinstance(inner, ast.Call)
                 and isinstance(inner.func, ast.Attribute)
                 and inner.func.attr == "groupby"
                 and _is_ray_groupby(inner)
-            ):
+            )
+            if node.func.attr in _RAY_GROUPED_OPS and ray_groupby:
+                found.append((funcs, node.lineno))
+            elif node.func.attr == "map_groups" and ray_groupby and over_ray(inner.func.value, names):
                 found.append((funcs, node.lineno))
             elif node.func.attr == "groupby" and driver_frame(inner, names):
                 found.append((funcs, node.lineno))
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "cogroup"
+            and len(node.args) >= 3
+            and over_ray(node.args[0], names)
+        ):
+            fn = callback(node.args[2], scopes)
+            if fn is not None and _pooled_reduce(fn):
+                found.append((funcs, node.lineno))
         for child in ast.iter_child_nodes(node):
-            visit(child, funcs, names)
+            visit(child, funcs, scopes, names)
         # bound after the value is visited: the value reads the old binding
         if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
             bind(node, names)
 
-    visit(tree, [], {"frames": set(), "ray": set()})
+    visit(tree, [], [tree], {"frames": set(), "ray": set()})
     return found
 
 

@@ -150,3 +150,47 @@ def test_heavy_hitter_tokens_truncation_path(tmp_path):
     df = out if isinstance(out, pd.DataFrame) else out.to_pandas()
     got = sorted(zip(df.token, df.n_occurrences))
     assert [(t, int(c)) for t, c in got] == want
+
+
+def test_null_text_documents_extract_as_empty_pages(sf_dir, tmp_path):
+    """Planted: every document with doc_id % 7 == 5, HTML- and PDF-routed,
+    gets a null text. Each
+    renders as an empty page and extracts to ``empty``, like an empty
+    text, instead of failing the job; the problem rows and the per-host
+    stats then match their DuckDB oracles on the planted table."""
+    import importlib.util
+    import pathlib
+
+    import duckdb
+    import pandas as pd
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    docs = pq.read_table(f"{sf_dir}/documents.parquet")
+    ids = docs.column("doc_id").to_pylist()
+    null = pa.array([d % 7 == 5 for d in ids])
+    planted = docs.set_column(
+        docs.column_names.index("text"), "text", pc.if_else(null, pa.scalar(None, pa.string()), docs.column("text"))
+    )
+    assert {corpus.is_pdf_doc(d) for d, n in zip(ids, null.to_pylist()) if n} == {True, False}
+    pq.write_table(planted, tmp_path / "documents.parquet")
+
+    spec = importlib.util.spec_from_file_location(
+        "__ray_entry__", pathlib.Path(__file__).resolve().parent.parent / "__ray_entry__.py"
+    )
+    entry = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(entry)
+    con = duckdb.connect()
+    con.sql(f"CREATE VIEW documents AS SELECT * FROM read_parquet('{tmp_path / 'documents.parquet'}')")
+
+    def canon(df: pd.DataFrame) -> pd.DataFrame:
+        df = df[sorted(df.columns)]
+        return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+    queries, oracles = entry.queries(), entry.oracle_sql()
+    for name in ("problem_rows", "quality_by_host_stats"):
+        got = canon(queries[name](str(tmp_path)).to_pandas())
+        want = canon(con.sql(oracles[name]).df())
+        pd.testing.assert_frame_equal(got, want, check_dtype=False)
+    problems = canon(queries["problem_rows"](str(tmp_path)).to_pandas())
+    assert set(problems["doc_id"]) >= {d for d, n in zip(ids, null.to_pylist()) if n}

@@ -137,10 +137,11 @@ def _part_of(doc_id: int) -> int:
 
 
 def test_unit_renders_only_its_own_pages(sf_dir, tmp_path, one_shot):
-    """Planted: every HTML doc of units 1-3 has a null text, which the HTML
-    template cannot render (``html.escape(None)`` raises). Unit 0 must
-    commit without touching them, so a unit never renders another unit's
-    pages; the planted failure then stops the run before unit 1."""
+    """Planted: every HTML doc of units 1-3 has a null text, which renders
+    as an empty page. Unit 0 must commit without touching them: every page
+    a unit renders is extracted and written, so had unit 0 rendered one,
+    its empty row would show in the data next to unit 0's own rows. The
+    planted failure then stops the run before unit 1."""
     import pyarrow.compute as pc
 
     from pdf_extractor_ray import corpus

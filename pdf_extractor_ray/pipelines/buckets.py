@@ -123,10 +123,10 @@ filter on the merged value (a support or heavy-hitter threshold) is a
 
 Merges that keep another mechanism, and why (``MERGE_ALLOWLIST`` in
 ``tests/test_bucket_scaling.py``, entry for entry; its guard flags every
-Ray grouped aggregate, every driver groupby over collected partials,
-every ``groupby(k).map_groups`` over a ``map_batches``/``cogroup`` output
-and every ``cogroup`` over one whose callback reduces with a pandas
-``groupby`` sum/min/max/agg):
+Ray grouped aggregate, every driver groupby over collected partials, and
+every ``groupby(k).map_groups`` or ``cogroup`` over a
+``map_batches``/``cogroup`` output whose callback reduces with a pandas
+``groupby`` sum/min/max/agg or a sum/min/max over stacked rows):
 
 - Ray ``Mean``/``Std`` (``relational.mean_std_agg``,
   ``relational.zscore_by_group``): Ray's own float accumulation, which
@@ -137,11 +137,7 @@ and every ``cogroup`` over one whose callback reduces with a pandas
 - ``similarity._lloyd_round``: float centroid sums merged in
   ``partial_id`` order, a fixed float reduction order;
 - ``textops.export_roundtrip_manifest``: a checksum summed modulo 2^k;
-- ``relational.kmv_user_overlap``: a k-min-values union, not one of the
-  four ops;
-- top-k: ``relational.vocab_oov_rate`` (top-K of each bucket's merged
-  counts) and ``training.stratified_sample_by_decile``'s ``final_topk``
-  (top-k per tile);
+- ``relational.vocab_oov_rate``: top-K of each bucket's merged counts;
 - merge then a per-key finish in the same co-group:
   ``relational.mode_by_group`` (argmax), ``relational.lineitems_above_avg_qty``
   (the per-part average), ``relational.windowed_topk_types`` (windowed
@@ -151,16 +147,20 @@ and every ``cogroup`` over one whose callback reduces with a pandas
 - count-distinct co-groups, which run one shuffle on the distinct column:
   ``relational.dau_engagement_by_month``, ``search.dup_ngram_spans``,
   ``textops.inlink_counts``;
-- grouped steps over raw rows that the guard's patterns match but that
-  merge no partials: per-key sequences (``relational.funnel_conversion``,
-  ``relational.resample_ffill_hourly``, ``relational.activity_streaks``),
-  exact per-group quantiles (``relational.iqr_outliers_by_priority``),
-  candidate pairs and label messages (``dedup.minhash_candidates_ds``,
-  ``dedup.connected_components``), posting lists and span islands
-  (``search.inverted_index``, ``search.dup_span_coverage``), per-cluster
-  pruning (``similarity.semdedup``), per-document text reassembly
-  (``textops.paragraph_dedup``, ``textops.boilerplate_line_removal``) and
-  a train/eval semi-join (``training.split_contamination``).
+- co-groups over raw rows whose callback reduces but merges no partials:
+  label propagation, where the per-node min rides in the edge co-group
+  (``dedup.connected_components``, ``graph.bfs_hops``), per-key sequences
+  (``relational.funnel_conversion``, ``relational.resample_ffill_hourly``,
+  ``relational.activity_streaks``), posting lists and span islands
+  (``search.inverted_index``, ``search.dup_span_coverage``), per-document
+  text reassembly (``textops.paragraph_dedup``,
+  ``textops.boilerplate_line_removal``) and a train/eval semi-join
+  (``training.split_contamination``).
+
+Two merges of partials keep ``groupby(k).map_groups`` because their state
+is none of the four ops, so the guard does not flag them:
+``relational.kmv_user_overlap`` (a k-min-values union) and
+``training.stratified_sample_by_decile``'s ``final_topk`` (top-k per tile).
 
 Global scalar ``ds.aggregate(...)``/``ds.sum(...)`` calls have no key to
 merge on and are not merges in this sense.

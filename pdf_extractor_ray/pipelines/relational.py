@@ -2057,11 +2057,13 @@ def _packed_pair_counts(sf_dir: str, min_count: int = 1, packed_src=None):
     association_rules_topk): aggregated (pair, n_orders) over distinct
     per-order part pairs, pair packed a<<32|b (a<b). See copurchase_pairs
     for the shifted-lag kernel shape. The per-bucket pair counts merge in
-    ``combine``; ``min_count`` is the min-support pushdown (VERDICT r3
-    wrong #2): a filter right after the merge, so below-support pairs —
-    the quadratic bulk of the distinct-pair table — never reach a caller.
-    ``packed_src`` lets association_rules reuse one materialized packed
-    projection."""
+    ``combine``; ``min_count`` is the min-support filter (VERDICT r3
+    wrong #2), run right after ``combine``'s merge, so below-support pairs
+    — the quadratic bulk of the distinct-pair table — never reach a
+    caller. They do reach the merge: while the per-bucket partials fit in
+    ``ROWS_PER_BUCKET`` rows, ``combine`` merges them all on the driver
+    before the filter runs. ``packed_src`` lets association_rules reuse
+    one materialized packed projection."""
     src = packed_src if packed_src is not None else _distinct_ok_pk_packed(sf_dir)
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -2129,7 +2131,8 @@ def association_rules_topk(sf_dir: str, k: int = 20, min_count: int = 2):
     per-batch DISTINCT (order, part) partials; n (distinct orders) comes
     from per-batch unique partials + one ok-hash bucket distinct count.
     Only pairs with c_ab ≥ min_count reach the driver finish (rule-sized
-    by construction). Both divisions round half-away 6dp (integer ratios
+    by construction): the min-support filter runs right after
+    ``combine``'s pair merge, which itself may run on the driver. Both divisions round half-away 6dp (integer ratios
     can land exact decimal ties — CLAUDE.md rounding rule); the top-k
     orders by the ROUNDED lift so tie ordering matches the oracle."""
     # ONE materialized packed projection feeds all three passes (pair
@@ -2147,9 +2150,10 @@ def association_rules_topk(sf_dir: str, k: int = 20, min_count: int = 2):
         ids = np.empty(0, np.int64)
         return pd.DataFrame({"ante": ids, "cons": ids, "n_orders": ids, "confidence": np.empty(0), "lift": np.empty(0)})
 
-    # min-support pushdown: below-support pairs are masked inside the
-    # distributed pair merge, so the collect here is the FILTERED rule
-    # table only (VERDICT r3 wrong #2)
+    # min-support filter right after combine's pair merge, so the collect
+    # here is the FILTERED rule table only (VERDICT r3 wrong #2); while the
+    # partials fit in ROWS_PER_BUCKET rows, below-support pairs still reach
+    # combine's driver merge before the filter drops them
     pairs = _packed_pair_counts(sf_dir, min_count=min_count, packed_src=dp).to_pandas()
     pa_ = (pairs["pair"].to_numpy(dtype=np.int64) >> 32).astype(np.int64)
     pb_ = (pairs["pair"].to_numpy(dtype=np.int64) & 0xFFFFFFFF).astype(np.int64)

@@ -136,25 +136,27 @@ def _part_of(doc_id: int) -> int:
     return url_part_id(corpus.url_for_doc(doc_id), DEFAULT_NUM_PARTITIONS)
 
 
-def test_unit_renders_only_its_own_pages(sf_dir, tmp_path, one_shot):
-    """Planted: every HTML doc of units 1-3 has a null text, which renders
-    as an empty page. Unit 0 must commit without touching them: every page
-    a unit renders is extracted and written, so had unit 0 rendered one,
-    its empty row would show in the data next to unit 0's own rows. The
+def test_unit_renders_only_its_own_pages(sf_dir, tmp_path):
+    """Planted: ``text`` becomes a list column. Every doc of units 1-3
+    holds a one-element list, which neither page template can render (a
+    list has no ``replace`` or ``split``), so a unit that renders one of
+    them fails the job; unit 0's docs hold a null, which renders as an
+    empty page. The partition filter before the render reads only
+    ``doc_id``. Unit 0 must commit exactly the pages of its own docs; the
     planted failure then stops the run before unit 1."""
     import pyarrow.compute as pc
 
     from pdf_extractor_ray import corpus
+    from pdf_extractor_ray.pipelines.extract import extract_pages
 
     docs = pq.read_table(os.path.join(sf_dir, "documents.parquet"))
     ids = docs.column("doc_id").to_pylist()
-    poison = pa.array([not corpus.is_pdf_doc(d) and _part_of(d) % 4 != 0 for d in ids])
-    assert pc.sum(poison).as_py() > 100
-    planted = docs.set_column(
-        docs.column_names.index("text"),
-        "text",
-        pc.if_else(poison, pa.scalar(None, pa.string()), docs.column("text")),
+    poison = [_part_of(d) % 4 != 0 for d in ids]
+    assert sum(poison) > 300
+    texts = pa.array(
+        [[t] if p else None for t, p in zip(docs.column("text").to_pylist(), poison)], pa.list_(pa.string())
     )
+    planted = docs.set_column(docs.column_names.index("text"), "text", texts)
     src = tmp_path / "planted"
     src.mkdir()
     pq.write_table(planted, str(src / "documents.parquet"))
@@ -164,9 +166,16 @@ def test_unit_renders_only_its_own_pages(sf_dir, tmp_path, one_shot):
         extract_with_resume(str(src), out, units=4, fail_after_units=1)
     unit0 = {p for p in range(DEFAULT_NUM_PARTITIONS) if p % 4 == 0}
     assert LineageLedger(out).committed_parts() == unit0
+
+    own = tmp_path / "unit0"
+    own.mkdir()
+    pq.write_table(planted.filter(pa.array([not p for p in poison])), str(own / "documents.parquet"))
+    want = _canon(pa.concat_tables(
+        extract_pages(corpus.read_pages(str(own), fanout_blocks=4)).iter_batches(batch_format="pyarrow", batch_size=None)
+    ))
     got = _read_data(out)
-    want = one_shot.filter(pc.is_in(one_shot.column("part_id"), value_set=pa.array(sorted(unit0), pa.int32())))
-    assert got.num_rows > 0
+    assert got.num_rows == len(poison) - sum(poison)
+    assert set(pc.unique(got.column("part_id")).to_pylist()) <= unit0
     assert got.equals(want)
 
 

@@ -87,7 +87,20 @@ pandas frame, for callers that finish on the driver. A vector state
 (histogram bins, signature slots, feature counts) is emitted as long
 rows, one per (key, position), so one of the four ops merges it. A
 filter on the merged value (a support or heavy-hitter threshold) is a
-``.filter`` on the result. The contract:
+``.filter`` on the result. DISTINCT and COUNT(DISTINCT) are ``combine``
+too:
+
+- ``DISTINCT a, b`` is ``combine(ds, [a, b], {})``, the high-cardinality
+  column first;
+- ``COUNT(DISTINCT x) ... GROUP BY g`` is
+  ``combine(combine(ds, [x, g], {}), g, {"n": (None, "count")})``: the
+  distinct column ``x`` goes first, because ``keys[0]`` is the co-group
+  key, so no bucket holds a group's every distinct value;
+- a count of counts chains the same way (``n == 1`` flags summed per
+  group count the keys seen once), and a threshold (``HAVING``) is a
+  ``.filter`` on the result.
+
+The contract:
 
 - ``keys[0]`` is the co-group key of the co-group merge, so it must be
   the high-cardinality column: a bin index before a range id, a feature
@@ -142,14 +155,10 @@ every ``groupby(k).map_groups`` or ``cogroup`` over a
   ``relational.mode_by_group`` (argmax), ``relational.lineitems_above_avg_qty``
   (the per-part average), ``relational.windowed_topk_types`` (windowed
   top-k), ``relational.left_join_null_fill`` and
-  ``relational.clv_by_segment`` (dimension joins),
-  ``relational.hapax_ratio_by_source`` (per-source hapax count);
-- count-distinct co-groups, which run one shuffle on the distinct column:
-  ``relational.dau_engagement_by_month``, ``search.dup_ngram_spans``,
-  ``textops.inlink_counts``;
+  ``relational.clv_by_segment`` (dimension joins);
 - co-groups over raw rows whose callback reduces but merges no partials:
-  label propagation, where the per-node min rides in the edge co-group
-  (``dedup.connected_components``, ``graph.bfs_hops``), per-key sequences
+  BFS label propagation, where the per-node min hop rides in the edge
+  co-group (``graph.bfs_hops``), per-key sequences
   (``relational.funnel_conversion``, ``relational.resample_ffill_hourly``,
   ``relational.activity_streaks``), posting lists and span islands
   (``search.inverted_index``, ``search.dup_span_coverage``), per-document
@@ -427,10 +436,12 @@ def _slices(t: pa.Table, key: str, n: int) -> list:
 def combine(ds, keys, aggs: dict):
     """Per-key ``sum``/``min``/``max``/``count`` of ``ds``: ``aggs`` maps
     each output column to ``(input column, op)``, ``(None, "count")`` for a
-    row count; ``{}`` gives the distinct keys. ``keys[0]`` is the co-group
-    key when the partials outgrow the driver merge, so it must be the
-    high-cardinality column. Returns a Dataset of the key columns, then
-    ``aggs`` in order (module docstring)."""
+    row count; ``{}`` gives the distinct keys, so COUNT(DISTINCT x) per g
+    is ``combine(combine(ds, [x, g], {}), g, {"n": (None, "count")})``.
+    ``keys[0]`` is the co-group key when the partials outgrow the driver
+    merge, so it must be the high-cardinality column: the distinct column
+    before the group. Returns a Dataset of the key columns, then ``aggs``
+    in order (module docstring)."""
     import ray
     import ray.data as rd
 

@@ -401,40 +401,21 @@ def minhash_near_dup_ds(docs_ds, threshold: float = 0.6):
     return _dedup_verified(verified, "doc_a", "doc_b", "jaccard_r")
 
 
-def _bucket_distinct(ds, cols: list[str]):
-    """Distinct rows via one bucket-level ``cogroup`` on the first column,
-    ``drop_duplicates`` vectorized inside the bucket. Replaces
-    ``groupby(cols).count()`` dedup, whose group count equals the DISTINCT
-    ROW count: Ray's grouped stages cost ~1 ms per map_groups group and
-    ~0.4 ms per aggregate group (NOTES)."""
-
-    def distinct(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(cols)
-
-    return cogroup(ds, cols[0], distinct)
-
-
 def connected_components(
     pairs_ds,
     col_a: str = "doc_a",
     col_b: str = "doc_b",
-    max_rounds: int = 15,
     driver_threshold: int = 100_000,
 ):
-    """Distributed connected components over near-dup pairs by iterative
-    min-label propagation (ray_guide dedup section): each round every node
-    takes the minimum label among itself and its neighbours, via two groupby
-    shuffles — no driver-side graph, no broadcast; converges in O(component
-    diameter) rounds (near-dup components are shallow in practice).
-
-    Returns (node, component) where component = min node id in the component.
-    The round primitive: union(label rows, edge rows) → groupby(key) emits
-    (neighbour, my_label) messages → groupby(node).min picks new labels.
+    """Connected components over near-dup pairs. Returns (node, component)
+    where component = min node id in the component.
 
     Below ``driver_threshold`` edges the candidate set is provably small
-    (near-dup pairs are a vanishing fraction of the corpus) and a driver-side
-    union-find is used instead — the ray_guide's stated crossover. The
-    distributed rounds are the scale path and are covered by tests with
+    (near-dup pairs are a vanishing fraction of the corpus) and a
+    driver-side union-find runs — the ray_guide's stated crossover. Above
+    it the edges never touch the driver: ``connected_components_star``
+    needs O(log n) rounds whatever the component diameter, and raises
+    rather than return unconverged labels. Tests reach that path with
     ``driver_threshold=0``.
     """
     import ray.data as rd
@@ -465,95 +446,23 @@ def connected_components(
         return rd.from_pandas(
             pd.DataFrame(rows, columns=["node", "component"]).astype(np.int64)
         )
-    # distributed path: edges never touch the driver. Build the deduped
-    # symmetric edge list with one map + one groupby shuffle.
-    if isinstance(pairs_ds, pd.DataFrame):
-        pairs_ds = rd.from_pandas(pairs_ds)
-
-    def sym_edges(t: pa.Table) -> pa.Table:
-        a = t.column(col_a).to_numpy(zero_copy_only=False).astype(np.int64)
-        b = t.column(col_b).to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "node": pa.array(np.concatenate([a, b])),
-                "dst": pa.array(np.concatenate([b, a])),
-            }
-        )
-
-    edges = _bucket_distinct(
-        pairs_ds.map_batches(sym_edges, batch_format="pyarrow"), ["node", "dst"]
-    ).materialize()
-    labels = (
-        _bucket_distinct(
-            edges.map_batches(
-                lambda t: t.select(["node"]), batch_format="pyarrow"
-            ),
-            ["node"],
-        )
-        .map_batches(
-            lambda t: pa.table({"node": t.column("node"), "label": t.column("node")}),
-            batch_format="pyarrow",
-        )
-        .materialize()
-    )
-
-    # round primitive, bucket-level end to end (VERDICT r2 #2): co-locate
-    # each node's label row with its outgoing edges by key-bucket
-    # (``cogroup``), emit (neighbour, my_label) + (self, my_label) messages
-    # with a vectorized within-bucket label map, partial-min the messages
-    # per bucket, then a second bucket-level per-node min combines across
-    # source buckets.
-    def gen_msgs(lbl: pd.DataFrame, e: pd.DataFrame) -> pd.DataFrame:
-        lmap = lbl.set_index("node")["label"]
-        node = np.concatenate(
-            [lbl["node"].to_numpy(dtype=np.int64), e["dst"].to_numpy(dtype=np.int64)]
-        )
-        label = np.concatenate(
-            [lbl["label"].to_numpy(dtype=np.int64), e["node"].map(lmap).to_numpy(dtype=np.int64)]
-        )
-        # partial per-node min INSIDE the source bucket: a hub node addressed
-        # by many edges here contributes one row to the node-bucket shuffle
-        m = pd.Series(label).groupby(node).min()
-        return pd.DataFrame(
-            {
-                "node": m.index.to_numpy(dtype=np.int64),
-                "label": m.to_numpy(dtype=np.int64),
-            }
-        )
-
-    prev_sum = None
-    for _ in range(max_rounds):
-        msgs = cogroup([labels, edges], "node", gen_msgs)
-        # materialize per round: bounds the lineage (otherwise each round
-        # re-executes every prior round per consumer) — the label table is
-        # one (node, label) row per node, tiny next to the corpus. The next
-        # round's ``cogroup`` coalesces it to O(CPUs) blocks (NOTES
-        # block-count rule).
-        labels = combine(msgs, "node", {"label": ("label", "min")}).materialize()
-        s = int(labels.sum("label"))  # distributed aggregate; a scalar reaches the driver
-        if s == prev_sum:
-            break
-        prev_sum = s
-    return labels.map_batches(
-        lambda t: pa.table(
-            {"node": t.column("node"), "component": t.column("label")}
-        ),
-        batch_format="pyarrow",
-    )
+    # distributed path: edges never touch the driver
+    return connected_components_star(pairs_ds, col_a, col_b)
 
 
 def connected_components_star(pairs_ds, col_a: str = "doc_a", col_b: str = "doc_b", max_rounds: int = 30):
     """Connected components by alternating large-star / small-star rounds
     (Kiveris et al., "Connected Components in MapReduce and Beyond") —
-    converges in O(log n) rounds regardless of component diameter, the
-    scale path for large-diameter graphs that min-label propagation
-    (O(diameter) rounds) handles poorly.
+    converges in O(log n) rounds regardless of component diameter; the
+    distributed path of ``connected_components``.
 
     large-star(u): for every neighbour v > u, re-attach v to
     m = min(Γ(u) ∪ {u}).  small-star(u): over edges oriented to the larger
     endpoint, re-attach all smaller neighbours (and u) to the minimum.
-    Fixpoint = a star forest: every edge (child, root). Implemented as one
-    groupby shuffle per phase over the symmetric edge list.
+    Fixpoint = a star forest: every edge (child, root). Each phase is one
+    ``cogroup`` on u over the symmetric edge list, and its output edges
+    are made distinct by ``combine``. Raises ``RuntimeError`` when
+    ``max_rounds`` pass without reaching the fixpoint.
     """
     import ray.data as rd
 
@@ -567,16 +476,12 @@ def connected_components_star(pairs_ds, col_a: str = "doc_a", col_b: str = "doc_
             {"u": pa.array(np.concatenate([a, b])), "v": pa.array(np.concatenate([b, a]))}
         )
 
-    # deduped symmetric edges — one bucket-level shuffle, never on the
-    # driver; also the node universe for the final labelling (every node
-    # appears on the u side of the symmetric list)
-    edges = _bucket_distinct(
-        pairs_ds.map_batches(sym, batch_format="pyarrow"), ["u", "v"]
-    ).materialize()
+    # distinct symmetric edges, never on the driver; also the node universe
+    # for the final labelling (every node appears on the u side of the
+    # symmetric list)
+    edges = combine(pairs_ds.map_batches(sym, batch_format="pyarrow"), ["u", "v"], {}).materialize()
     nodes_ds = (
-        _bucket_distinct(
-            edges.map_batches(lambda t: t.select(["u"]), batch_format="pyarrow"), ["u"]
-        )
+        combine(edges.select_columns(["u"]), "u", {})
         .map_batches(
             lambda t: pa.table({"node": t.column("u"), "component": t.column("u")}),
             batch_format="pyarrow",
@@ -605,7 +510,7 @@ def connected_components_star(pairs_ds, col_a: str = "doc_a", col_b: str = "doc_
 
     def small_star(g: pd.DataFrame) -> pd.DataFrame:
         # input oriented u=max, v=min (may contain duplicate rows — the
-        # following bucket dedup absorbs emitted duplicates, as before)
+        # phase's distinct absorbs emitted duplicates)
         u = g["u"].to_numpy(dtype=np.int64)
         v = g["v"].to_numpy(dtype=np.int64)
         mins = pd.Series(v).groupby(u).min()  # m = min(Γ(u)), all Γ(u) < u
@@ -655,11 +560,10 @@ def connected_components_star(pairs_ds, col_a: str = "doc_a", col_b: str = "doc_
         return int(parts["n"].sum()), x, s
 
     def bucketed_phase(ds, phase_fn):
-        """One star phase + duplicate-drop in bucket-level groups of u."""
-        return _bucket_distinct(cogroup(ds, "u", phase_fn), ["u", "v"])
+        """One star phase in bucket-level groups of u, its edges distinct."""
+        return combine(cogroup(ds, "u", phase_fn), ["u", "v"], {})
 
     prev_sig = None
-    converged = False
     for _ in range(max_rounds):
         # large-star over the symmetric view
         sym_view = edges.map_batches(
@@ -684,17 +588,11 @@ def connected_components_star(pairs_ds, col_a: str = "doc_a", col_b: str = "doc_
         edges = bucketed_phase(oriented, small_star).materialize()
         sig = _edge_signature(edges)
         if sig == prev_sig:
-            converged = True
             break
         prev_sig = sig
-    if not converged:
-        # ADVICE r2: never return unconverged labels silently
-        import logging
-
-        logging.getLogger(__name__).warning(
-            "connected_components_star: max_rounds=%d exhausted without edge-set "
-            "signature convergence — labels may be non-final", max_rounds,
-        )
+    else:
+        # ADVICE r2: never return unconverged labels
+        raise RuntimeError(f"connected_components_star: no fixpoint after max_rounds={max_rounds} rounds")
 
     # final assembly, distributed: at the fixpoint edges form a star forest
     # (child u → root v). union(self-labels, child→root rows) + bucket-level
@@ -709,7 +607,7 @@ def connected_components_star(pairs_ds, col_a: str = "doc_a", col_b: str = "doc_
 
 def dup_components(sf_dir: str, threshold: float = 0.4, n_bands: int = 24, planes_per_band: int = 4):
     """Near-dup clusters over embedding pairs: banded sign-LSH pair
-    generation → distributed min-label components. Rows-only (recursive
+    generation → ``connected_components``. Rows-only (recursive
     closure is not single-query SQL).
 
     Round 2 (VERDICT r1 #2): pairs come from ``embedding_near_dup`` — the

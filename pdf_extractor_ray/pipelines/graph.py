@@ -24,11 +24,10 @@ def _customer_supplier_edges(sf_dir: str, min_qty: int | None = None):
     """Derived bipartite purchase graph: DISTINCT customer→supplier edges
     via orders ⋈ lineitem on the order key. Suppliers get node ids offset
     by 2^32 so the two id spaces cannot collide. The join is the proven
-    ``cogroup`` of both sides on the order key, merged vectorized
-    inside the bucket, deduplicated per bucket before leaving it.
-    ``min_qty`` keeps only high-quantity purchase edges (exact integer
-    rule) — the sparser subgraph BFS traverses; None keeps all (PageRank,
-    degree, triangles)."""
+    ``cogroup`` of both sides on the order key, merged vectorized inside
+    the bucket; ``combine`` makes the edges distinct. ``min_qty`` keeps
+    only high-quantity purchase edges (exact integer rule) — the sparser
+    subgraph BFS traverses; None keeps all (PageRank, degree, triangles)."""
     cols = ["l_orderkey", "l_suppkey"] + (["l_quantity"] if min_qty is not None else [])
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     items = _read(sf_dir, "lineitem", cols)
@@ -46,7 +45,7 @@ def _customer_supplier_edges(sf_dir: str, min_qty: int | None = None):
     orders = orders.rename_columns({"o_orderkey": "l_orderkey"})
 
     def join(o: pd.DataFrame, li: pd.DataFrame) -> pd.DataFrame:
-        m = li.merge(o, on="l_orderkey")[["o_custkey", "l_suppkey"]].drop_duplicates()
+        m = li.merge(o, on="l_orderkey")
         return pd.DataFrame(
             {
                 "src": m["o_custkey"].to_numpy(dtype=np.int64),
@@ -54,16 +53,7 @@ def _customer_supplier_edges(sf_dir: str, min_qty: int | None = None):
             }
         )
 
-    joined = cogroup([orders, items], "l_orderkey", join)
-
-    # the in-bucket dedup above is per ORDER bucket; the same (cust, supp)
-    # pair recurs across orders in other buckets — global distinct needs one
-    # src-keyed pass (a pair's bucket is a pure function of src, so the
-    # distinct is exact and stays vectorized).
-    def distinct(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["src", "dst"])
-
-    return cogroup(joined, "src", distinct)
+    return combine(cogroup([orders, items], "l_orderkey", join), ["src", "dst"], {})
 
 
 def pagerank(sf_dir: str, n_iters: int = 10, damping: float = DAMPING):
@@ -195,23 +185,11 @@ def _pagerank_static(sf_dir: str):
         return pd.DataFrame({"node": g["src"].to_numpy(), "dst": g["dst"].to_numpy(), "deg": deg})
 
     def node_rows(t: pa.Table) -> pa.Table:
-        n = np.unique(
-            np.concatenate(
-                [
-                    t.column("src").to_numpy(zero_copy_only=False),
-                    t.column("dst").to_numpy(zero_copy_only=False),
-                ]
-            )
-        ).astype(np.int64)
-        return pa.table({"node": pa.array(n)})
-
-    def dedup_nodes(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates("node")
+        return pa.table({"node": pa.concat_arrays([t.column(c).combine_chunks() for c in ("src", "dst")])})
 
     out_edges = cogroup(edges, "src", degree).materialize()
-    nodes = cogroup(
-        edges.map_batches(node_rows, batch_format="pyarrow", zero_copy_batch=True), "node", dedup_nodes
-    ).materialize()
+    nodes = combine(edges.map_batches(node_rows, batch_format="pyarrow", zero_copy_batch=True), "node", {})
+    nodes = nodes.materialize()
     return (nodes, out_edges), nodes.count()
 
 
@@ -284,8 +262,8 @@ def _part_cooccurrence_edges(sf_dir: str):
     two parts co-occur in at least one order. Pair generation is the
     shifted-lag kernel inside orderkey-hash buckets (sort by (order, part);
     for lag d emit (part[i], part[i+d]) where order matches — vectorized,
-    basket-bounded); global distinct is one pair-hash bucket pass. Edges
-    leave as a single packed int64 key (a<<32 | b)."""
+    basket-bounded); ``combine`` makes the pairs distinct. Edges leave as
+    a single packed int64 key (a<<32 | b)."""
 
     ds = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 
@@ -301,11 +279,8 @@ def _part_cooccurrence_edges(sf_dir: str):
         allp = np.unique(np.concatenate(packed)) if packed else np.empty(0, dtype=np.int64)
         return pd.DataFrame({"ekey": allp})
 
-    def distinct(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"ekey": np.unique(g["ekey"].to_numpy(dtype=np.int64))})
-
     pairs = cogroup(ds, "l_orderkey", pairs_in_bucket, sort_by=["l_orderkey", "l_partkey"])
-    return cogroup(pairs, "ekey", distinct)
+    return combine(pairs, "ekey", {})
 
 
 def _node_degrees(edges):

@@ -772,30 +772,10 @@ def distinct_pairs(sf_dir: str):
 
 
 def distinct_count_by_group(sf_dir: str):
-    """Exact COUNT(DISTINCT x) per group without per-pair Ray groups: each
-    batch emits its distinct (source, n_chars) pairs, co-grouped on
-    ``n_chars`` (a pair's bucket is a function of the pair, so pairs
-    partition disjointly and per-bucket distinct counts add up exactly);
-    the bucket merge dedups vectorized and ``combine`` sums the small
-    per-(bucket, source) partials. The previous two-level native groupby
-    paid the ~0.4 ms/group tax once per DISTINCT PAIR (r3)."""
+    """Exact COUNT(DISTINCT n_chars) per source: the distinct (n_chars,
+    source) pairs, then a count per source, both by ``combine``."""
     ds = _read(sf_dir, "documents", ["source", "n_chars"])
-
-    def pair_partial(t: pa.Table) -> pa.Table:
-        return t.group_by(["source", "n_chars"]).aggregate([])
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        s = (
-            g.drop_duplicates(["source", "n_chars"])
-            .groupby("source", sort=False)
-            .size()
-        )
-        return pd.DataFrame(
-            {"source": s.index, "n_distinct_chars": s.to_numpy(dtype=np.int64)}
-        )
-
-    per_bucket = cogroup(ds.map_batches(pair_partial, batch_format="pyarrow", zero_copy_batch=True), "n_chars", merge)
-    return combine(per_bucket, "source", {"n_distinct_chars": ("n_distinct_chars", "sum")})
+    return combine(combine(ds, ["n_chars", "source"], {}), "source", {"n_distinct_chars": (None, "count")})
 
 
 def mean_std_agg(sf_dir: str):
@@ -1106,20 +1086,13 @@ def approx_distinct_tokens(sf_dir: str, p: int = 12):
         merged.merge(HyperLogLog.from_bytes(row["sketch"], p))
     approx = int(round(merged.estimate()))
 
-    # exact audit computed in the same run (VERDICT r4 #6): per-batch
-    # distinct tokens -> ONE token-hash bucket re-distinct (a token lives in
-    # exactly one bucket, so per-bucket distinct counts ADD) -> B count rows
-    # to the driver. Same shape as exact_distinct_tokens_by_source.
-    def tok_partial(t: pa.Table) -> pa.Table:
+    # exact audit computed in the same run (VERDICT r4 #6): the distinct
+    # tokens by ``combine``, counted
+    def tok_rows(t: pa.Table) -> pa.Table:
         toks = t.column("text").to_pandas().str.split(" ")
-        uniq = pd.unique(np.concatenate(toks.to_numpy())) if len(toks) else np.array([], dtype=object)
-        return pa.table({"token": pa.array(uniq, pa.string())})
+        return pa.table({"token": pa.array(np.concatenate(toks.to_numpy()), pa.string())})
 
-    def distinct_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"n": [int(g["token"].nunique())]})
-
-    toks = ds.map_batches(tok_partial, batch_format="pyarrow", zero_copy_batch=True)
-    exact = int(cogroup(toks, "token", distinct_in_bucket).to_pandas()["n"].sum())
+    exact = combine(ds.map_batches(tok_rows, batch_format="pyarrow", zero_copy_batch=True), "token", {}).count()
     rel_err = round(abs(approx - exact) / max(exact, 1), 6)
     return pd.DataFrame(
         {"approx_distinct": [approx], "exact_distinct": [exact], "rel_err": [rel_err]}
@@ -2377,7 +2350,7 @@ def approx_distinct_tokens_by_source(sf_dir: str, p: int = 12):
         merge_estimate,
     ).to_pandas()
     # exact audit in the same run (VERDICT r4 #6): join the ground-truth
-    # twin (exact_distinct_tokens_by_source — token-bucket distinct) so the
+    # twin (exact_distinct_tokens_by_source) so the
     # driver sees estimate, exact and relative error per source.
     exact = exact_distinct_tokens_by_source(sf_dir).rename(
         columns={"n_distinct_tokens": "exact_distinct"}
@@ -3032,29 +3005,23 @@ def late_event_filter(sf_dir: str, watermark_s: int = 300, jitter_s: int = 3600)
 def tumbling_distinct_users(sf_dir: str):
     """EXACT COUNT(DISTINCT user) per tumbling hour — the windowed-distinct
     companion to ``approx_distinct_tokens``'s HLL (exact when the distinct
-    set must be right, sketch when it must be cheap). Per-batch distinct
-    (window, user) partials collapse repeat activity BEFORE the shuffle;
-    the in-bucket finish is drop_duplicates + size. Window keys shuffle as
-    int64 epochs and render ISO post-aggregate (NOTES int64-key rule)."""
+    set must be right, sketch when it must be cheap): the distinct (user,
+    window) pairs, then a count per window, both by ``combine``. Window keys
+    shuffle as int64 epochs and render ISO post-aggregate (NOTES int64-key
+    rule)."""
     ds = _read(sf_dir, "events", ["user_id", "ts"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        ws = pc.cast(
-            pc.cast(pc.floor_temporal(t.column("ts"), unit="hour"), pa.timestamp("s")),
-            pa.int64(),
-        ).to_numpy(zero_copy_only=False)
-        u = t.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        pair = np.unique(np.stack([ws, u], axis=1), axis=0)
-        return pa.table({"ws_epoch": pa.array(pair[:, 0]), "user_id": pa.array(pair[:, 1])})
+    def pairs(t: pa.Table) -> pa.Table:
+        ws = pc.cast(pc.cast(pc.floor_temporal(t.column("ts"), unit="hour"), pa.timestamp("s")), pa.int64())
+        return pa.table({"user_id": pc.cast(t.column("user_id"), pa.int64()), "ws_epoch": ws})
 
-    def finish(g: pd.DataFrame) -> pd.DataFrame:
-        out = (
-            g.drop_duplicates(["ws_epoch", "user_id"])
-            .groupby("ws_epoch", sort=False)
-            .size()
-            .reset_index(name="n_users")
-        )
-        return out
+    return _distinct_users(ds.map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True))
+
+
+def _distinct_users(pairs):
+    """(window_start, n_users) of (user_id, ws_epoch) rows: COUNT(DISTINCT
+    user_id) per window by two ``combine`` calls, the window rendered as
+    ISO text afterwards."""
 
     def render(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -3063,13 +3030,12 @@ def tumbling_distinct_users(sf_dir: str):
                     pc.cast(t.column("ws_epoch"), pa.timestamp("s")),
                     format="%Y-%m-%d %H:%M:%S",
                 ),
-                "n_users": pc.cast(t.column("n_users"), pa.int64()),
+                "n_users": t.column("n_users"),
             }
         )
 
-    parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    agg = cogroup(parts, "ws_epoch", finish)
-    return agg.map_batches(render, batch_format="pyarrow")
+    n = combine(combine(pairs, ["user_id", "ws_epoch"], {}), "ws_epoch", {"n_users": (None, "count")})
+    return n.map_batches(render, batch_format="pyarrow")
 
 
 def first_last_value_in_group(sf_dir: str):
@@ -3490,13 +3456,12 @@ def skyline_orders(sf_dir: str):
 def sliding_distinct_users(sf_dir: str):
     """EXACT COUNT(DISTINCT user) per SLIDING 1-hour window stepping 30
     minutes — the overlapping-window companion to ``tumbling_distinct_users``:
-    each event belongs to the two windows covering it, so the per-batch
-    distinct partial explodes to (window, user) ONCE per covering window
-    before the single window-hash shuffle."""
+    each event belongs to the two windows covering it, so it becomes one
+    (user, window) row per covering window before the same distinct count."""
     ds = _read(sf_dir, "events", ["user_id", "ts"])
     STEP = 1_800  # seconds; WIN = 2*STEP, so each event is in exactly two windows
 
-    def partial(t: pa.Table) -> pa.Table:
+    def pairs(t: pa.Table) -> pa.Table:
         # numpy epoch floor (a pyarrow us→s cast REFUSES to truncate)
         ts = (
             t.column("ts").to_numpy(zero_copy_only=False).astype("datetime64[us]").astype(np.int64)
@@ -3506,33 +3471,9 @@ def sliding_distinct_users(sf_dir: str):
         # window starts covering ts: the two step-aligned starts in
         # (ts - WIN, ts] (WIN = 2·STEP, so both always cover)
         w1 = (ts // STEP) * STEP
-        ws = np.concatenate([w1 - STEP, w1])
-        uu = np.concatenate([u, u])
-        pair = np.unique(np.stack([ws, uu], axis=1), axis=0)
-        return pa.table({"ws_epoch": pa.array(pair[:, 0]), "user_id": pa.array(pair[:, 1])})
+        return pa.table({"user_id": np.concatenate([u, u]), "ws_epoch": np.concatenate([w1 - STEP, w1])})
 
-    def finish(g: pd.DataFrame) -> pd.DataFrame:
-        return (
-            g.drop_duplicates(["ws_epoch", "user_id"])
-            .groupby("ws_epoch", sort=False)
-            .size()
-            .reset_index(name="n_users")
-        )
-
-    def render(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "window_start": pc.strftime(
-                    pc.cast(t.column("ws_epoch"), pa.timestamp("s")),
-                    format="%Y-%m-%d %H:%M:%S",
-                ),
-                "n_users": pc.cast(t.column("n_users"), pa.int64()),
-            }
-        )
-
-    parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    agg = cogroup(parts, "ws_epoch", finish)
-    return agg.map_batches(render, batch_format="pyarrow")
+    return _distinct_users(ds.map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True))
 
 
 def relational_division(sf_dir: str):
@@ -3542,48 +3483,21 @@ def relational_division(sf_dir: str):
     the organizer "clients present in every statement period" completeness
     audit (app/utils.py cross-period checks).
 
-    Scale shape: per-batch distinct (custkey, priority-digit) pairs shrink
-    the shuffle to pair cardinality; ONE custkey-hash bucket merge counts
-    per-key distinct coverage vectorized; the divisor cardinality comes
-    from a column-pruned priority-only pre-pass whose partials are ≤5 rows
-    per block (driver-sized union). No per-key groups, no all-to-all on raw
-    rows."""
+    Scale shape: the distinct (custkey, priority-digit) pairs by
+    ``combine``, materialized once; the divisor is their distinct digits,
+    and a customer qualifies when its pair count equals it."""
     ds = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
 
-    def digit(t: pa.Table) -> np.ndarray:
+    def pair_rows(t: pa.Table) -> pa.Table:
         # '1-URGENT'..'5-LOW' → leading digit, vectorized (1-byte slice)
-        d = pc.utf8_slice_codeunits(t.column("o_orderpriority"), 0, 1)
-        return pc.cast(d, pa.int64()).to_numpy(zero_copy_only=False)
+        d = pc.cast(pc.utf8_slice_codeunits(t.column("o_orderpriority"), 0, 1), pa.int64())
+        return pa.table({"o_custkey": pc.cast(t.column("o_custkey"), pa.int64()), "d": d})
 
-    def pair_partial(t: pa.Table) -> pa.Table:
-        ck = t.column("o_custkey").to_numpy(zero_copy_only=False).astype(np.int64)
-        packed = np.unique(ck * 16 + digit(t))  # digits 1..5 < 16
-        return pa.table({"o_custkey": pa.array(packed // 16), "d": pa.array(packed % 16)})
-
-    # ONE scan: the divisor cardinality comes from the same distinct-pair
-    # partials (materialized once — pair-cardinality-sized, not raw rows),
-    # via a per-batch digit-unique pass whose partials are ≤|divisor| rows
-    pairs = ds.map_batches(
-        pair_partial, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
-    n_total = len(
-        np.unique(
-            pairs.map_batches(
-                lambda t: pa.table({"d": pa.array(np.unique(t.column("d").to_numpy(zero_copy_only=False)))}),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            )
-            .to_pandas()["d"]
-            .to_numpy()
-        )
-    )
-
-    def covered(g: pd.DataFrame) -> pd.DataFrame:
-        gg = g.drop_duplicates(["o_custkey", "d"]).groupby("o_custkey", sort=False).size()
-        keep = gg[gg == n_total].index.to_numpy(dtype=np.int64)
-        return pd.DataFrame({"o_custkey": keep})
-
-    return cogroup(pairs, "o_custkey", covered)
+    pairs = combine(ds.map_batches(pair_rows, batch_format="pyarrow", zero_copy_batch=True), ["o_custkey", "d"], {})
+    pairs = pairs.materialize()
+    divisor = len(combine_frame(pairs, "d", {}))
+    n = combine(pairs, "o_custkey", {"n": (None, "count")})
+    return n.filter(expr=f"n == {divisor}").select_columns(["o_custkey"])
 
 
 def decayed_count_by_type(sf_dir: str):
@@ -3658,49 +3572,20 @@ def exact_distinct_tokens_by_source(sf_dir: str):
     """EXACT distinct-token count per source — the ground-truth twin of
     ``approx_distinct_tokens_by_source`` (HLL): same question, sketch-free
     answer, so the pair demonstrates the exact-vs-approximate trade the
-    engine offers at scale. Per-batch distinct (source, token) pairs shrink
-    the shuffle to per-block vocabulary size; ONE token-hash bucket merge
-    re-distincts across blocks and emits per-bucket per-source counts
-    (distinct (source, token) never co-locates a source's whole vocabulary
-    on one worker — buckets split by TOKEN, counts add across buckets
-    because a token lands in exactly one bucket)."""
+    engine offers at scale: the distinct (token, source) pairs, then a
+    count per source, both by ``combine``; the token goes first, so no
+    worker holds a source's whole vocabulary."""
     ds = _read(sf_dir, "documents", ["source", "text"])
+    rows = ds.map_batches(_token_rows, batch_format="pyarrow", zero_copy_batch=True)
+    return combine_frame(combine(rows, ["token", "source"], {}), "source", {"n_distinct_tokens": (None, "count")})
 
-    def pair_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table(
-                {
-                    "source": pa.array([], pa.string()),
-                    "token": pa.array([], pa.string()),
-                }
-            )
-        src = t.column("source").to_pandas()
-        toks = t.column("text").to_pandas().str.split(" ")
-        df = pd.DataFrame(
-            {
-                "source": src.repeat(toks.str.len().to_numpy()),
-                "token": np.concatenate(toks.to_numpy()),
-            }
-        ).drop_duplicates()
-        return pa.table(
-            {
-                "source": pa.array(df["source"].to_numpy(), pa.string()),
-                "token": pa.array(df["token"].to_numpy(), pa.string()),
-            }
-        )
 
-    def count_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        n = (
-            g.drop_duplicates(["source", "token"])
-            .groupby("source", sort=False)
-            .size()
-            .reset_index(name="n")
-        )
-        return n
-
-    pairs = ds.map_batches(pair_partial, batch_format="pyarrow", zero_copy_batch=True)
-    parts = cogroup(pairs, "token", count_in_bucket)
-    return combine_frame(parts, "source", {"n_distinct_tokens": ("n", "sum")})
+def _token_rows(t: pa.Table) -> pa.Table:
+    """One (token, source) row per space-separated token of ``text``."""
+    toks = t.column("text").to_pandas().str.split(" ")
+    src = t.column("source").to_pandas().repeat(toks.str.len().to_numpy())
+    tok = np.concatenate(toks.to_numpy()) if len(toks) else np.empty(0, object)
+    return pa.table({"token": pa.array(tok, pa.string()), "source": pa.array(src.to_numpy(), pa.string())})
 
 
 def rolling_extremes_per_user(sf_dir: str, window: int = 3):
@@ -4929,6 +4814,7 @@ def vocab_oov_rate(sf_dir: str, k_vocab: int = 20):
        fraction in a stateless pass. Integer ratio ⇒ half-away rounding
        (NOTES r3 rule)."""
     import ray
+    import ray.data as rd
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -4956,6 +4842,7 @@ def vocab_oov_rate(sf_dir: str, k_vocab: int = 20):
     cand = (
         cogroup(ds.map_batches(count_partial, batch_format="pyarrow", zero_copy_batch=True), "token", bucket_topk)
         .to_pandas()
+        .reindex(columns=["token", "n"])  # a result with no rows converts without columns
         .sort_values(["n", "token"], ascending=[False, True], kind="mergesort")
         .head(k_vocab)
     )
@@ -4979,6 +4866,8 @@ def vocab_oov_rate(sf_dir: str, k_vocab: int = 20):
             }
         )
 
+    if cand.empty:  # no documents, so ``oov`` would never run: type the empty result here
+        return rd.from_arrow(oov(pa.table({"doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string())})))
     return ds.map_batches(oov, batch_format="pyarrow", zero_copy_batch=True)
 
 
@@ -5024,9 +4913,8 @@ def median_gap_by_type(sf_dir: str):
             b = vals[int(np.searchsorted(cum, n // 2 + 1))]
             med = (float(a) + float(b)) / 2.0
         rows.append({"event_type": et, "median_gap_s": med, "n_gaps": n})
-    out = pd.DataFrame(rows)
-    out["n_gaps"] = out["n_gaps"].astype(np.int64)
-    return out
+    out = pd.DataFrame(rows, columns=["event_type", "median_gap_s", "n_gaps"])
+    return out.astype({"median_gap_s": np.float64, "n_gaps": np.int64})
 
 
 def _cents_per_customer(sf_dir: str):
@@ -5541,50 +5429,24 @@ def dau_engagement_by_month(sf_dir: str):
     the ratio expressed oracle-safely (user_days/mau is one int/int
     division, rounded half-away; a per-day AVG would re-order float sums).
 
-    Scale shape: ``activity_streaks``' packed-int64 discipline — per-batch
-    distinct ``user·2²⁰ + epoch_day`` shrinks the shuffle to unique
-    user-days BEFORE it happens; user-hash buckets mean each user's days
-    land in exactly one bucket, so per-bucket (month → user_days,
-    distinct-users) grids SUM exactly across buckets (no double-counted
-    MAU). Month index is integer epoch arithmetic (datetime64[M]) matching
-    ``year(ts)·100 + month(ts)``."""
+    Scale shape: three ``combine`` calls — the distinct (user, day) pairs
+    (each carries its month), the active days per (user, month), then the
+    user-days sum and the user count per month. Month index is integer
+    epoch arithmetic (datetime64[M]) matching ``year(ts)·100 +
+    month(ts)``."""
     DAY_US = 86_400_000_000
-    PACK = np.int64(1) << np.int64(20)
     ds = _read(sf_dir, "events", ["user_id", "ts"])
 
-    def day_partial(t: pa.Table) -> pa.Table:
-        u = t.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        d = (
-            t.column("ts").to_numpy(zero_copy_only=False).astype("datetime64[us]").astype(np.int64)
-            // DAY_US
-        )
-        pk = np.unique(u * PACK + d)
-        return pa.table({"user_id": pa.array(pk // PACK), "day": pa.array(pk % PACK)})
-
-    dd = ds.map_batches(day_partial, batch_format="pyarrow", zero_copy_batch=True)
-
-    def month_grid(g: pd.DataFrame) -> pd.DataFrame:
-        pk = np.unique(
-            g["user_id"].to_numpy(dtype=np.int64) * PACK + g["day"].to_numpy(dtype=np.int64)
-        )
-        u, d = pk // PACK, pk % PACK
+    def day_rows(t: pa.Table) -> pa.Table:
+        d = t.column("ts").to_numpy(zero_copy_only=False).astype("datetime64[us]").astype(np.int64) // DAY_US
         m = d.astype("datetime64[D]").astype("datetime64[M]").astype(np.int64)
         ym = (1970 + m // 12) * 100 + (m % 12 + 1)
-        df = pd.DataFrame({"ym": ym, "u": u})
-        out = df.groupby("ym", sort=False).agg(
-            n_user_days=("u", "size"), mau=("u", "nunique")
-        )
-        return pd.DataFrame(
-            {
-                "ym": out.index.to_numpy(dtype=np.int64),
-                "n_user_days": out["n_user_days"].to_numpy(dtype=np.int64),
-                "mau": out["mau"].to_numpy(dtype=np.int64),
-            }
-        )
+        return pa.table({"user_id": pc.cast(t.column("user_id"), pa.int64()), "day": d, "ym": ym})
 
-    out = combine_frame(
-        cogroup(dd, "user_id", month_grid), "ym", {"n_user_days": ("n_user_days", "sum"), "mau": ("mau", "sum")}
-    )
+    rows = ds.map_batches(day_rows, batch_format="pyarrow", zero_copy_batch=True)
+    days = combine(rows, ["user_id", "day", "ym"], {})
+    per_user = combine(days, ["user_id", "ym"], {"days": (None, "count")})
+    out = combine_frame(per_user, "ym", {"n_user_days": ("days", "sum"), "mau": (None, "count")})
     out["avg_active_days"] = np.floor(
         out["n_user_days"].to_numpy(dtype=np.float64)
         / out["mau"].to_numpy(dtype=np.float64)
@@ -5598,9 +5460,9 @@ def unshipped_backlog_by_priority(sf_dir: str):
     """TPC-H Q4-flavored backlog snapshot: orders placed by the cutoff whose
     lineitems are still unshipped after it — open-order count, pending item
     count and pending discounted revenue per order priority. The COUNT
-    DISTINCT rides the join: an orderkey lives in exactly ONE hash bucket,
-    so per-bucket distinct-order counts SUM exactly across buckets (the
-    dau_engagement containment argument).
+    DISTINCT rides the join: the distinct column is the co-group key, and
+    an orderkey lives in exactly ONE hash bucket, so per-bucket
+    distinct-order counts SUM exactly across buckets.
 
     Scale shape: both fact scans filter per batch on integer epoch-µs
     BEFORE anything shuffles (predicate-first discipline), then one
@@ -5675,62 +5537,21 @@ def hapax_ratio_by_source(sf_dir: str):
     """Hapax-legomena ratio per source — the fraction of each source's
     vocabulary appearing EXACTLY once, the classic Zipf-tail /
     corpus-freshness signal next to ``exact_distinct_tokens_by_source``
-    (same bucket layout, but hapaxhood needs per-(source, token) COUNTS,
-    not distincts, so the per-batch partial is a groupby-size and the
-    in-bucket merge SUMS counts before classifying).
-
-    Scale shape: per-batch (source, token, n) partials shrink the shuffle
-    to per-block vocabulary; token-hash buckets mean a (source, token)
-    pair's total lands in exactly ONE bucket, so per-bucket
-    (vocab, hapax) grids sum exactly across buckets and nothing
-    source-sized ever co-locates. One int/int ratio rounds half-away
+    (hapaxhood needs per-(token, source) COUNTS, not distincts): one
+    ``combine`` counts each pair, a second counts pairs and sums their
+    ``n == 1`` flags per source. One int/int ratio rounds half-away
     (CLAUDE.md rule)."""
     ds = _read(sf_dir, "documents", ["source", "text"])
+    rows = ds.map_batches(_token_rows, batch_format="pyarrow", zero_copy_batch=True)
+    counts = combine(rows, ["token", "source"], {"n": (None, "count")})
 
-    def pair_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table(
-                {
-                    "source": pa.array([], pa.string()),
-                    "token": pa.array([], pa.string()),
-                    "n": pa.array([], pa.int64()),
-                }
-            )
-        src = t.column("source").to_pandas()
-        toks = t.column("text").to_pandas().str.split(" ")
-        df = pd.DataFrame(
-            {
-                "source": src.repeat(toks.str.len().to_numpy()),
-                "token": np.concatenate(toks.to_numpy()),
-            }
-        )
-        g = df.groupby(["source", "token"], sort=False).size().reset_index(name="n")
-        return pa.table(
-            {
-                "source": pa.array(g["source"].to_numpy(), pa.string()),
-                "token": pa.array(g["token"].to_numpy(), pa.string()),
-                "n": pa.array(g["n"].to_numpy(dtype=np.int64)),
-            }
-        )
+    def hapax(t: pa.Table) -> pa.Table:
+        return t.append_column("hapax", pc.cast(pc.equal(t.column("n"), 1), pa.int64()))
 
-    def classify_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        tot = g.groupby(["source", "token"], sort=False)["n"].sum().reset_index()
-        out = tot.groupby("source", sort=False)["n"].agg(
-            n_vocab="size", n_hapax=lambda s: int((s.to_numpy() == 1).sum())
-        )
-        return pd.DataFrame(
-            {
-                "source": out.index.to_numpy(),
-                "n_vocab": out["n_vocab"].to_numpy(dtype=np.int64),
-                "n_hapax": out["n_hapax"].to_numpy(dtype=np.int64),
-            }
-        )
-
-    pairs = ds.map_batches(pair_partial, batch_format="pyarrow", zero_copy_batch=True)
     out = combine_frame(
-        cogroup(pairs, "token", classify_in_bucket),
+        counts.map_batches(hapax, batch_format="pyarrow", zero_copy_batch=True),
         "source",
-        {"n_vocab": ("n_vocab", "sum"), "n_hapax": ("n_hapax", "sum")},
+        {"n_vocab": (None, "count"), "n_hapax": ("hapax", "sum")},
     )
     out["hapax_ratio"] = np.floor(
         out["n_hapax"].to_numpy(dtype=np.float64) / out["n_vocab"].to_numpy(dtype=np.float64) * 1e6

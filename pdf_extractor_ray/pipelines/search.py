@@ -246,12 +246,11 @@ def dup_ngram_spans(sf_dir: str, n: int = 4):
 
     Scale shape: spans are built batch-complete (a doc's token positions
     never span batches — one vectorized object-concat over the flat token
-    buffer, doc-boundary positions masked via the list offsets) and
-    deduplicated per (doc, span) in-batch, so only distinct incidences
-    cross the ONE token-hash-bucket shuffle; the in-bucket distinct-doc
-    count is a vectorized groupby. At corpus scale, shuffle the 64-bit span
-    HASH instead of the text (collision-checked), as minhash does — the
-    string form here keeps the DuckDB oracle hash-exact."""
+    buffer, doc-boundary positions masked via the list offsets); the
+    distinct (span, doc) incidences, then a count per span, both by
+    ``combine``, and a filter on the count. At corpus scale, shuffle the
+    64-bit span HASH instead of the text (collision-checked), as minhash
+    does — the string form here keeps the DuckDB oracle hash-exact."""
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def spans(t: pa.Table) -> pa.Table:
@@ -283,28 +282,15 @@ def dup_ngram_spans(sf_dir: str, n: int = 4):
             )
         )
         valid_idx = (starts + pos).astype(np.int64)
-        span_doc = np.repeat(ids, np.maximum(lens - n + 1, 0))
-        d = pd.DataFrame(
-            {"doc_id": span_doc, "span": joined[valid_idx]}
-        ).drop_duplicates()  # batch-complete per-(doc, span) distinct
         return pa.table(
             {
-                "doc_id": pa.array(d["doc_id"].to_numpy(dtype=np.int64)),
-                "span": pa.array(d["span"].to_numpy(), pa.string()),
+                "doc_id": pa.array(np.repeat(ids, np.maximum(lens - n + 1, 0)).astype(np.int64)),
+                "span": pa.array(joined[valid_idx], pa.string()),
             }
         )
 
-    def count_docs(g: pd.DataFrame) -> pd.DataFrame:
-        agg = g.groupby("span", sort=False)["doc_id"].agg(n_docs="nunique")
-        agg = agg[agg["n_docs"] > 1]
-        return pd.DataFrame(
-            {
-                "span": agg.index.to_numpy(),
-                "n_docs": agg["n_docs"].to_numpy(dtype=np.int64),
-            }
-        )
-
-    return cogroup(docs.map_batches(spans, batch_format="pyarrow", zero_copy_batch=True), "span", count_docs)
+    pairs = combine(docs.map_batches(spans, batch_format="pyarrow", zero_copy_batch=True), ["span", "doc_id"], {})
+    return combine(pairs, "span", {"n_docs": (None, "count")}).filter(expr="n_docs > 1")
 
 
 def dup_span_coverage(sf_dir: str, n: int = 4):

@@ -255,7 +255,7 @@ def corpus_near_dup_pipeline(sf_dir: str):
 
     from ..functions.hashing import sha256_hex
     from ..functions.quality import quality_features
-    from .dedup import _bucket_distinct, connected_components, minhash_near_dup_ds
+    from .dedup import connected_components, minhash_near_dup_ds
 
     pages = corpus.read_pages(sf_dir, replicate=2, fanout_blocks=32)
     ext = extract_pages(pages)
@@ -365,10 +365,10 @@ def corpus_near_dup_pipeline(sf_dir: str):
             # never reaches the driver (VERDICT r3 wrong #1: an unconditional
             # to_pandas() here was proportional to the near-dup member count
             # — ~30%+ of a crawl corpus): count members distributed, count
-            # clusters via one bucket-level distinct
+            # clusters as the distinct components
             comp = comp.materialize()
             members = int(comp.count())
-            n_clusters = int(_bucket_distinct(comp, ["component"]).count())
+            n_clusters = int(combine(comp, "component", {}).count())
     n_final = n_exact_unique - members + n_clusters
 
     return pd.DataFrame(
@@ -1240,40 +1240,10 @@ def inlink_counts(sf_dir: str):
     """Webgraph inlink aggregation over the REAL parsed outlinks
     (``extract_outlinks``): per target URL, total anchor count and distinct
     linking documents — the indegree/authority signal crawl prioritization
-    and link-spam filters start from. Per-batch (url, doc_id) pre-counts
-    shrink the shuffle to per-block distinct pairs; ONE url-hash bucket
-    merge finishes both aggregates (a URL lives in exactly one bucket, so
-    in-bucket distinct == global distinct)."""
-    import pandas as pd
-
-    links = extract_outlinks(sf_dir)
-
-    def pair_partial(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "link_url": t.column("link_url").to_pylist(),
-                "doc_id": t.column("doc_id").to_numpy(zero_copy_only=False),
-            }
-        )
-        a = df.groupby(["link_url", "doc_id"], sort=False).size().reset_index(name="n")
-        return pa.table(
-            {
-                "link_url": pa.array(a["link_url"], pa.string()),
-                "doc_id": pa.array(a["doc_id"].to_numpy(dtype=np.int64)),
-                "n": pa.array(a["n"].to_numpy(dtype=np.int64)),
-            }
-        )
-
-    def finish(g: pd.DataFrame) -> pd.DataFrame:
-        a = g.groupby("link_url", sort=False).agg(
-            n_inlinks=("n", "sum"), n_src_docs=("doc_id", "nunique")
-        ).reset_index()
-        a["n_inlinks"] = a["n_inlinks"].astype(np.int64)
-        a["n_src_docs"] = a["n_src_docs"].astype(np.int64)
-        return a
-
-    pairs = links.map_batches(pair_partial, batch_format="pyarrow", zero_copy_batch=True)
-    return cogroup(pairs, "link_url", finish)
+    and link-spam filters start from: one ``combine`` counts the links per
+    (url, doc), a second sums them and counts the docs per url."""
+    per_doc = combine(extract_outlinks(sf_dir), ["link_url", "doc_id"], {"n": (None, "count")})
+    return combine(per_doc, "link_url", {"n_inlinks": ("n", "sum"), "n_src_docs": (None, "count")})
 
 
 def image_header_features(sf_dir: str):

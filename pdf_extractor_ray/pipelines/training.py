@@ -300,12 +300,12 @@ def pack_sequences(sf_dir: str, seq_len: int = 256):
     def explode(g: pd.DataFrame, before: dict) -> pd.DataFrame:
         n = g["n_tokens"].to_numpy(dtype=np.int64)
         did = g["doc_id"].to_numpy(dtype=np.int64)
-        start = before["n_tokens"] + np.concatenate([[0], np.cumsum(n)[:-1]])
+        start = before["n_tokens"] + np.cumsum(n) - n
         first_seq = start // L
         last_seq = (start + n - 1) // L  # n ≥ 1 always (whitespace count + 1)
         n_frag = last_seq - first_seq + 1
         seq = np.repeat(first_seq, n_frag) + (
-            np.arange(int(n_frag.sum())) - np.repeat(np.concatenate([[0], np.cumsum(n_frag)[:-1]]), n_frag)
+            np.arange(int(n_frag.sum())) - np.repeat(np.cumsum(n_frag) - n_frag, n_frag)
         )
         d_start = np.repeat(start, n_frag)
         d_n = np.repeat(n, n_frag)
@@ -385,6 +385,7 @@ def _word_counts_topv(ds, top_v: int):
         .sort(["n", "word"], descending=[True, False])
         .limit(top_v)
         .to_pandas()
+        .reindex(columns=["word", "n"])  # a result with no rows converts without columns
     )
 
 
@@ -420,7 +421,8 @@ def bpe_merges_from_vocab(vocab: "pd.DataFrame", n_merges: int) -> "pd.DataFrame
                 else:
                     i += 1
         merges.append((rank, best_pair[0], best_pair[1], top_n))
-    return pd.DataFrame(merges, columns=["rank", "left", "right", "pair_count"])
+    out = pd.DataFrame(merges, columns=["rank", "left", "right", "pair_count"])
+    return out.astype({"rank": np.int64, "pair_count": np.int64})
 
 
 def bpe_train_merges(sf_dir: str, n_merges: int = 20, top_v: int = 5_000):

@@ -20,10 +20,11 @@ frame is memory-bounded by design. These tests pin
 4. ``ranges``: a hot sort value is split by its tie-break, and an empty
    input ranks to a typed empty result; the range sites and the merges
    moved onto ``combine`` give typed empty results on zero-row tables;
-5. static guards: hand-rolled ``groupby("_bucket")`` shuffles and
+5. static guards: hand-rolled ``groupby("_bucket")`` shuffles,
    per-key partial merges outside ``combine`` (Ray grouped aggregates,
    driver groupbys over collected partials, ``map_groups`` stages and
-   ``cogroup`` callbacks that merge partials) stay gone.
+   ``cogroup`` callbacks that merge partials) and hand-written DISTINCT
+   or COUNT(DISTINCT) callbacks stay gone.
 """
 
 from __future__ import annotations
@@ -160,6 +161,16 @@ def test_derive_floor_and_scaling(sf_dir, monkeypatch):
         "exact_quantile",
         "url_canonical_dedup",
         "dedup_replicated_corpus",
+        "distinct_count_by_group",
+        "approx_distinct_tokens",
+        "tumbling_distinct_users",
+        "sliding_distinct_users",
+        "relational_division",
+        "dau_engagement_by_month",
+        "hapax_ratio_by_source",
+        "dup_ngram_spans",
+        "inlink_counts",
+        "corpus_near_dup_pipeline",
     ],
 )
 def test_bucket_count_invariance(sf_dir, qname, monkeypatch):
@@ -171,7 +182,9 @@ def test_bucket_count_invariance(sf_dir, qname, monkeypatch):
     ``_dedup_verified``, weekly revenue, token stats, brand stats, rollup,
     pair counts, bigram and count-min cells, RFM metrics, heavy hitters,
     weighted and winsorized means, MinHash slots, DSIR features, quantile
-    bins, canonical URLs, content hashes) to its co-group merge, and every
+    bins, canonical URLs, content hashes, and every DISTINCT and
+    COUNT(DISTINCT): tokens, user windows, user-days, spans, inlinks,
+    graph edges and nodes, components) to its co-group merge, and every
     ``ranges`` site (ranks, Gini, token prefix sums, NTILE strata) to many
     small ranges."""
     fn = QUERIES[qname]
@@ -487,6 +500,11 @@ _ZERO_ROW_CASES = [
     ("exact_quantile", 0, "q:float64,val:float64"),
     ("weighted_avg_by_group", 0, "l_returnflag:object,w_avg_discount:float64"),
     ("winsorized_mean_by_group", 0, "o_orderpriority:object,w_mean:float64"),
+    ("approx_distinct_tokens", 1, "approx_distinct:int64,exact_distinct:int64,rel_err:float64"),
+    ("vocab_oov_rate", 0, "doc_id:int64,n_tokens:int64,n_oov:int64,oov_rate:float64"),
+    ("median_gap_by_type", 0, "event_type:object,median_gap_s:float64,n_gaps:int64"),
+    ("bpe_train_merges", 0, "rank:int64,left:object,right:object,pair_count:int64"),
+    ("pack_sequences", 0, "doc_id:int64,seq_id:int64,frag_start:int64,frag_len:int64"),
 ]
 
 #: Dataset results whose last stage is a UDF: Ray runs no UDF on a
@@ -636,10 +654,6 @@ def test_no_hand_rolled_bucket_shuffles_outside_the_primitive():
 #: patterns match, outside ``buckets.combine``, each with its reason (the
 #: list in the buckets.py docstring, entry for entry)
 MERGE_ALLOWLIST = {
-    "dedup.py": {
-        # label-propagation messages: the min rides in the edge co-group
-        "connected_components",
-    },
     "graph.py": {
         # BFS frontier: the per-node min hop rides in the edge co-group
         "bfs_hops",
@@ -656,16 +670,12 @@ MERGE_ALLOWLIST = {
         # top-K of the merged counts per bucket
         "vocab_oov_rate",
         # merge then a per-key finish in the same co-group: argmax, the
-        # per-part average, the windowed top-k, the dimension joins, the
-        # per-source hapax count
+        # per-part average, the windowed top-k, the dimension joins
         "mode_by_group",
         "lineitems_above_avg_qty",
         "windowed_topk_types",
         "left_join_null_fill",
         "clv_by_segment",
-        "hapax_ratio_by_source",
-        # count-distinct: one shuffle on the distinct column
-        "dau_engagement_by_month",
         # per-key min/agg over raw rows inside the co-group (funnel steps,
         # hourly forward-fill, day streaks), not merges of partials
         "funnel_conversion",
@@ -673,8 +683,6 @@ MERGE_ALLOWLIST = {
         "activity_streaks",
     },
     "search.py": {
-        # count-distinct: one shuffle on the distinct column
-        "dup_ngram_spans",
         # posting lists and span islands over raw rows, not merges
         "inverted_index",
         "dup_span_coverage",
@@ -685,8 +693,6 @@ MERGE_ALLOWLIST = {
     "textops.py": {
         # a checksum summed modulo 2^k
         "export_roundtrip_manifest",
-        # count-distinct: one shuffle on the distinct column
-        "inlink_counts",
         # per-document text reassembly over raw paragraph/line rows
         "paragraph_dedup",
         "boilerplate_line_removal",
@@ -888,3 +894,180 @@ def test_merge_allowlist_is_the_buckets_docstring_list():
     named = set(re.findall(r"``(\w+\.\w+)``", listed))
     want = {f"{f[:-3]}.{name}" for f, names in MERGE_ALLOWLIST.items() for name in names}
     assert named == want
+
+
+#: functions whose co-group or grouped callback keeps a hand-written
+#: DISTINCT or COUNT(DISTINCT), each with its reason; every other one is
+#: ``combine`` (the idiom in the buckets.py docstring)
+DISTINCT_ALLOWLIST = {
+    "dedup.py": {
+        # a band's members made distinct before its pairs are enumerated
+        # in the same co-group: the output is pairs, not a distinct set
+        "simhash_near_dup_ds",
+        # distinct (source, shingle) rows feed the per-bucket incidence
+        # product M.T @ M in the same co-group
+        "source_minhash_similarity",
+    },
+    "graph.py": {
+        # an order's distinct parts before its co-occurrence pairs are
+        # enumerated in the same co-group
+        "_part_cooccurrence_edges",
+    },
+    "relational.py": {
+        # distinct (user, week) rows feed each user's cohort (first week)
+        # in the same co-group
+        "retention_cohorts",
+        # the customer side's key made unique before the dimension join
+        "clv_by_segment",
+        # COUNT(DISTINCT) of the co-group key itself, inside the join: a
+        # key lives in one bucket
+        "unshipped_backlog_by_priority",
+    },
+    "search.py": {
+        # span incidences kept by their distinct-doc count: the rows, not
+        # the counts, leave the co-group
+        "dup_span_coverage",
+    },
+    "textops.py": {
+        # COUNT(DISTINCT) of the co-group key itself, beside the counters
+        "cc_pipeline_audit",
+        # the first row per content hash after a doc_id sort: a row pick
+        "training_export_audit",
+        # per-document text reassembly over raw paragraph/line rows (first
+        # occurrences, per-line doc counts); both run on the benchmark path
+        "paragraph_dedup",
+        "boilerplate_line_removal",
+    },
+}
+
+
+def _hand_distinct(fn: ast.AST) -> bool:
+    """Whether a callback writes a DISTINCT or COUNT(DISTINCT) by hand: a
+    ``.drop_duplicates(...)`` without ``keep=``, or pandas ``nunique``
+    (called, or named in ``agg``/``transform``)."""
+    return any(
+        (isinstance(n, ast.Constant) and n.value == "nunique")
+        or (
+            isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute)
+            and (
+                n.func.attr == "nunique"
+                or (n.func.attr == "drop_duplicates" and not any(k.arg == "keep" for k in n.keywords))
+            )
+        )
+        for n in ast.walk(fn)
+    )
+
+
+def _distinct_sites(tree: ast.AST):
+    """(enclosing function names, line) of every ``cogroup(..., fn)`` and
+    ``map_groups(fn)`` whose callback writes a DISTINCT by hand
+    (``_hand_distinct``), and of every call of a helper that passes such a
+    callback on to one; a callback the guard cannot resolve to a def or
+    lambda in the file counts as one."""
+
+    def callback(call):
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        if name == "cogroup" and len(call.args) >= 3:
+            return call.args[2]
+        if name == "map_groups" and call.args:
+            return call.args[0]
+        return None
+
+    # helpers that hand one of their parameters to cogroup/map_groups:
+    # name -> (position, parameter name)
+    helpers = {}
+    for fdef in ast.walk(tree):
+        if isinstance(fdef, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            params = [a.arg for a in fdef.args.args]
+            for n in ast.walk(fdef):
+                cb = callback(n) if isinstance(n, ast.Call) else None
+                if isinstance(cb, ast.Name) and cb.id in params:
+                    helpers[fdef.name] = (params.index(cb.id), cb.id)
+
+    found = []
+
+    def writes_distinct(expr, scopes) -> bool:
+        if isinstance(expr, ast.Lambda):
+            return _hand_distinct(expr)
+        if isinstance(expr, ast.Call):
+            expr = expr.func
+        if isinstance(expr, ast.Name):
+            for scope in reversed(scopes):
+                if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)) and expr.id in helpers.get(
+                    scope.name, (None, None)
+                ):
+                    return False  # checked where the helper is called
+                for n in ast.walk(scope):
+                    if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n.name == expr.id:
+                        return _hand_distinct(n)
+        return True
+
+    def visit(node, funcs, scopes):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            funcs, scopes = funcs + [node.name], scopes + [node]
+        if isinstance(node, ast.Call):
+            cb = callback(node)
+            name = getattr(node.func, "id", None)
+            if cb is None and name in helpers:
+                pos, param = helpers[name]
+                given = [k.value for k in node.keywords if k.arg == param]
+                cb = node.args[pos] if len(node.args) > pos else (given[0] if given else None)
+            if cb is not None and writes_distinct(cb, scopes):
+                found.append((funcs, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, funcs, scopes)
+
+    visit(tree, [], [tree])
+    return found
+
+
+def test_distinct_goes_through_combine():
+    """DISTINCT and COUNT(DISTINCT) go through buckets.combine: no
+    co-group or grouped callback drops duplicates or counts distinct
+    values by hand (and no helper wraps such a callback), outside the
+    named exceptions; and every named exception still holds a site the
+    guard flags."""
+    offenders, unused = [], []
+    for path in sorted(PIPELINES.glob("*.py")):
+        if path.name == "buckets.py":
+            continue
+        allowed = DISTINCT_ALLOWLIST.get(path.name, set())
+        flagged = _distinct_sites(ast.parse(path.read_text()))
+        for funcs, line in flagged:
+            if not allowed.intersection(funcs):
+                offenders.append(f"{path.name}:{line} in {'.'.join(funcs) or '<module>'}")
+        hit = {f for funcs, _ in flagged for f in funcs}
+        unused += [f"{path.name}:{name}" for name in sorted(allowed - hit)]
+    assert offenders == []
+    assert unused == []
+
+
+def test_distinct_guard_flags_the_hand_written_shapes():
+    """The guard's patterns: a drop-duplicates callback, a nunique
+    aggregate, and a helper that wraps cogroup around a callback it is
+    given; a row pick (``keep=``) and a combine are not flagged."""
+    src = """
+def a(ds):
+    def distinct(g):
+        return g.drop_duplicates(["k", "v"])
+    return cogroup(ds, "k", distinct)
+
+def b(ds):
+    return ds.groupby("k").map_groups(lambda g: g.groupby("k").agg(n=("v", "nunique")))
+
+def wrap(ds, fn):
+    return cogroup(ds, "k", fn)
+
+def c(ds):
+    def count(g):
+        return g["v"].nunique()
+    return wrap(ds, count)
+
+def d(ds):
+    def last(g):
+        return g.drop_duplicates("k", keep="last")
+    return cogroup(ds, "k", last), combine(ds, ["v", "k"], {})
+"""
+    flagged = [funcs[-1] for funcs, _ in _distinct_sites(ast.parse(src))]
+    assert flagged == ["a", "b", "c"]

@@ -39,12 +39,34 @@ def test_components_chain_and_clique_and_singletons():
 
 
 def test_components_distributed_rounds_match_union_find():
-    # driver_threshold=0 forces the distributed min-label propagation path;
+    # driver_threshold=0 forces the distributed star-contraction path;
     # diameter-6 chain + clique exercises multi-round convergence
     _check(
         [(i, i + 1) for i in range(6)] + [(10, 11), (11, 12), (10, 12)],
         driver_threshold=0,
     )
+
+
+def test_components_long_chain_on_the_distributed_path_is_one_component():
+    """A 41-node chain is one component on the distributed path too: the
+    star rounds need O(log n) of them whatever the diameter. Min-label
+    propagation stopped after 15 rounds and split this chain into 26
+    components without a warning."""
+    pairs = pd.DataFrame([(i, i + 1) for i in range(40)], columns=["doc_a", "doc_b"])
+    got = connected_components(pairs, driver_threshold=0).to_pandas()
+    assert dict(zip(got.node, got.component)) == dict.fromkeys(range(41), 0)
+
+
+def test_star_components_raise_when_rounds_run_out():
+    """Unconverged labels are never returned: one round cannot reach the
+    fixpoint of a chain, so the star path raises."""
+    import pytest
+
+    from pdf_extractor_ray.pipelines.dedup import connected_components_star
+
+    chain = pd.DataFrame([(i, i + 1) for i in range(8)], columns=["doc_a", "doc_b"])
+    with pytest.raises(RuntimeError, match="max_rounds=1"):
+        connected_components_star(chain, max_rounds=1)
 
 
 def test_components_star_and_cross_links():

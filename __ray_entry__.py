@@ -30,7 +30,7 @@ def entry() -> Any:
     from pdf_extractor_ray import corpus
     from pdf_extractor_ray.pipelines.extract import extract_pages
 
-    pages = corpus.read_pages("/root/testdata/sf0.001", fanout_blocks=16)
+    pages = corpus.read_pages("/root/testdata/sf0.001")
     return extract_pages(pages)
 
 

@@ -62,7 +62,7 @@ def cmd_quality(args) -> dict:
     from . import corpus
     from .pipelines.extract import extract_pages, quality_by_host
 
-    pages = corpus.read_pages(args.sf_dir, fanout_blocks=32)
+    pages = corpus.read_pages(args.sf_dir)
     df = quality_by_host(extract_pages(pages)).to_pandas().sort_values("host")
     return {"command": "quality", "hosts": df.to_dict(orient="records")}
 

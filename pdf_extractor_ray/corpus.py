@@ -263,17 +263,15 @@ def replicate_documents(batch: pa.Table, replicate: int) -> pa.Table:
 def read_pages(sf_dir: str, replicate: int = 1, fanout_blocks: int | None = None, paragraphs: int = 1):
     """Read the documents table (only needed columns) and synthesize pages.
 
-    ``fanout_blocks``: the testdata table is ONE small parquet file, so the
-    read is a single task and Ray fuses the whole downstream chain into it
-    (serializing everything). A cheap ``repartition`` right after the read
-    breaks that fusion and fans the chain out. This is a small-input shim
-    ONLY — a real 100 TB corpus has thousands of files and natural read
-    parallelism, and an all-to-all repartition there would be wrong."""
-    from .ioutil import read_table
+    The single-file read is fanned out right after the read into a block
+    count sized by the cluster's CPUs (``ioutil.fan_out``), so the render
+    and everything downstream run in parallel. ``fanout_blocks`` pins the
+    block count instead, for runs that must split work the same way on any
+    cluster (a benchmark's fixed split, block-invariance tests)."""
+    from .ioutil import fan_out, read_table
 
     docs = read_table(sf_dir, "documents", ["doc_id", "text", "lang"])
-    if fanout_blocks:
-        docs = docs.repartition(fanout_blocks)
+    docs = docs.repartition(fanout_blocks) if fanout_blocks else fan_out(docs)
     if replicate > 1:
         docs = docs.map_batches(
             lambda t: replicate_documents(t, replicate),

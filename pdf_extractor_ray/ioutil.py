@@ -12,11 +12,15 @@ hashable (verified: the warning disappears and ``{t.schema}`` works).
 ``meta_rows`` exposes the parquet row count straight from file metadata
 (no Ray execution) — the cheap pre-pass that scale-derives shuffle fan-out
 such as ``buckets.cogroup``' bucket count (VERDICT r4 wrong #1).
+
+``fan_out`` owns the block count of a single-file read: the one place
+where the read fan-out is derived from the cluster's CPUs.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import os
 
 import pyarrow as pa
@@ -41,6 +45,30 @@ def meta_rows(path: str) -> int:
             if f.endswith(".parquet")
         )
     return pq.read_metadata(path).num_rows
+
+
+def cluster_cpus() -> int:
+    """CPUs of the running Ray cluster (1 when it reports none)."""
+    import ray
+
+    return int(ray.cluster_resources().get("CPU", 1))
+
+
+def fan_out(ds, share: float = 1.0):
+    """``ds`` repartitioned into ``max(1, ceil(4 · CPUs · share))`` blocks.
+
+    The testdata tables are ONE small parquet file each, so a read is a
+    single task and Ray fuses the whole downstream chain into it. A cheap
+    repartition right after the read breaks that fusion and fans the chain
+    out; a real corpus has many files and needs no fan-out. ``share`` is the
+    fraction of the input the caller reads (a resume unit with k of P
+    partitions to compute passes k/P), so its rows per block match a
+    whole-input run. The constant 4 (blocks per CPU) is the only fan-out
+    constant: at 4 CPUs it gives 16, the count the single-file reads and
+    the resume units were tuned to, and at 1 CPU it gives 4. Results do not
+    depend on it; its 2×/4×/8× sweep is in NOTES "One read fan-out".
+    """
+    return ds.repartition(max(1, math.ceil(4 * cluster_cpus() * share)))
 
 
 def read_parquet_clean(path: str, columns: list[str] | None = None, **kwargs):

@@ -182,6 +182,8 @@ import functools
 import numpy as np
 import pyarrow as pa
 
+from ..ioutil import cluster_cpus
+
 #: FLOOR bucket count: the grouped shuffle sees at least this many groups,
 #: never one per key; the actual count scales with input size
 #: (``derive_n_buckets``).
@@ -278,14 +280,12 @@ def _coalesced(ds):
     co-group's sort splits every input block into one piece per input
     block, so its cost grows with the square of the block count (the NOTES
     block-count rule). Blocks still stay within Ray's target block size."""
-    import ray
     from ray.data import DataContext
     from ray.data.dataset import MaterializedDataset
 
     if not isinstance(ds, MaterializedDataset):
         return ds
-    cpus = int(ray.cluster_resources().get("CPU", 1))
-    k = max(cpus, -(-ds.size_bytes() // DataContext.get_current().target_max_block_size))
+    k = max(cluster_cpus(), -(-ds.size_bytes() // DataContext.get_current().target_max_block_size))
     return ds.repartition(k) if ds.num_blocks() > k else ds
 
 
@@ -442,14 +442,13 @@ def combine(ds, keys, aggs: dict):
     merge, so it must be the high-cardinality column: the distinct column
     before the group. Returns a Dataset of the key columns, then ``aggs``
     in order (module docstring)."""
-    import ray
     import ray.data as rd
 
     keys = [keys] if isinstance(keys, str) else list(keys)
     merged = _merged(ds, keys, aggs)
     if not isinstance(merged, pa.Table):
         return merged
-    return rd.from_arrow(_slices(merged, keys[0], int(ray.cluster_resources().get("CPU", 1))))
+    return rd.from_arrow(_slices(merged, keys[0], cluster_cpus()))
 
 
 def combine_frame(ds, keys, aggs: dict):

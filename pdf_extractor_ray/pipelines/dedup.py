@@ -21,6 +21,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.sketches import MinHasher, char_ngrams, jaccard, shingles, simhash64
+from ..ioutil import fan_out, read_table
 from .buckets import cogroup, combine, combine_frame
 
 NUM_PERM = 64
@@ -28,15 +29,14 @@ NUM_BANDS = 16  # 16 bands × 4 rows → catches J≳0.6 with high prob
 
 
 def _read_docs(sf_dir: str, columns=("doc_id", "text")):
-    from ..ioutil import read_table
-
     return read_table(sf_dir, "documents", list(columns))
 
 
 class MinHashBander:
-    """Actor: the hash family is built once per worker (§2.3 pattern).
-    ``mode="word"`` sketches word k-shingles; ``mode="char"`` sketches char
-    trigrams (the n-gram-Jaccard blocking key)."""
+    """Batch callable holding the hash family, built once per worker
+    process by ``_cached_bander``. ``mode="word"`` sketches word k-shingles;
+    ``mode="char"`` sketches char trigrams (the n-gram-Jaccard blocking
+    key)."""
 
     def __init__(
         self,
@@ -103,21 +103,16 @@ def _cached_bander(num_perm: int, num_bands: int, shingle_k: int, mode: str) -> 
 def _band_batch(t: pa.Table, *, mode: str) -> pa.Table:
     """Stateless-task form of the bander: hash family cached once per worker
     PROCESS (NOTES: cheap-state stages run ~3× faster as tasks + lru_cache
-    than as an autoscaling actor pool — no ramp-up, full task parallelism).
-    The actor-pool class stays available for heavy-state configurations."""
+    than as an autoscaling actor pool — no ramp-up, full task parallelism)."""
     return _cached_bander(NUM_PERM, NUM_BANDS, 3, mode)(t)
 
 
-def minhash_candidates(sf_dir: str, concurrency=None, mode: str = "word"):
+def minhash_candidates(sf_dir: str, mode: str = "word"):
     """documents table → candidate pairs (see minhash_candidates_ds)."""
-    return minhash_candidates_ds(
-        _read_docs(sf_dir).repartition(32),  # single-file read fan-out shim
-        concurrency=concurrency,
-        mode=mode,
-    )
+    return minhash_candidates_ds(fan_out(_read_docs(sf_dir)), mode=mode)
 
 
-def minhash_candidates_ds(docs_ds, concurrency=None, mode: str = "word"):
+def minhash_candidates_ds(docs_ds, mode: str = "word"):
     """(doc_id, text) Dataset → (band_id, band_hash) buckets → unique
     candidate pairs. Dataset-level entry so composed pipelines (e.g.
     extraction output) can feed near-dup directly.
@@ -132,25 +127,11 @@ def minhash_candidates_ds(docs_ds, concurrency=None, mode: str = "word"):
 
     from functools import partial
 
-    bands = (
-        docs_ds
-        .map_batches(
-            partial(_band_batch, mode=mode)
-            if concurrency is None
-            else MinHashBander,
-            **(
-                {}
-                if concurrency is None
-                else {"fn_constructor_kwargs": {"mode": mode}, "concurrency": concurrency}
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=None,
-        )
-    )
     # sketch once, reuse twice (count pass + pair pass): the band table is
     # 3 int columns — tiny next to the documents — so pinning it is safe
-    bands = bands.materialize()
+    bands = docs_ds.map_batches(
+        partial(_band_batch, mode=mode), batch_format="pyarrow", zero_copy_batch=True, batch_size=None
+    ).materialize()
 
     # hot-bucket detection on the PACKED key (r3): per-batch partial counts
     # + bucket-level pandas merge — the previous native two-key Count had
@@ -375,7 +356,7 @@ def _verify_candidates(docs_ds, pairs, n_cand: int, sim_fn, threshold: float):
 
 def minhash_near_dup(sf_dir: str, threshold: float = 0.6):
     """documents table → verified near-dup pairs (see minhash_near_dup_ds)."""
-    return minhash_near_dup_ds(_read_docs(sf_dir).repartition(32), threshold=threshold)
+    return minhash_near_dup_ds(fan_out(_read_docs(sf_dir)), threshold=threshold)
 
 
 def minhash_near_dup_ds(docs_ds, threshold: float = 0.6):
@@ -799,7 +780,7 @@ def simhash_near_dup(sf_dir: str, max_hamming: int = 3):
             }
         )
 
-    fp_ds = _read_docs(sf_dir).repartition(32).map_batches(
+    fp_ds = fan_out(_read_docs(sf_dir)).map_batches(
         fp, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
     )
     return simhash_near_dup_ds(fp_ds, max_hamming=max_hamming)
@@ -847,13 +828,7 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.9, max_candidates: int
         # (band duplicates sort adjacent, so the prefix stays deterministic)
         pairs = pairs.sort(["doc_a", "doc_b"]).limit(max_candidates).materialize()
         n_cand = max_candidates
-    verified = _verify_candidates(
-        _read_docs(sf_dir).repartition(32),  # single-file read fan-out shim
-        pairs,
-        n_cand,
-        _jaccard_char_ngrams,
-        threshold,
-    )
+    verified = _verify_candidates(fan_out(_read_docs(sf_dir)), pairs, n_cand, _jaccard_char_ngrams, threshold)
     return _dedup_verified(verified, "doc_a", "doc_b", "jaccard_r")
 
 

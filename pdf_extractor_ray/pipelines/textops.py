@@ -24,12 +24,22 @@ def _read_docs(sf_dir: str, columns):
     return read_table(sf_dir, "documents", list(columns))
 
 
+def _audit_row(agg, cols, key="{}"):
+    """One int64 row of a global aggregate's results, column ``c`` read
+    from ``agg[key.format(c)]``. Ray gives None for an aggregate over no
+    rows, which reads as 0."""
+    import pandas as pd
+
+    agg = agg or {}
+    return pd.DataFrame([{c: int(agg.get(key.format(c)) or 0) for c in cols}])
+
+
 def extract_pages_text(sf_dir: str):
     """Flagship correctness query: synthesize pages → extract → ok rows'
     (doc_id, extracted_text). The DuckDB oracle is simply the source
     documents table (byte-identity), minus the deterministically-malformed
     and empty rows — the strongest end-to-end check the driver can hash."""
-    pages = corpus.read_pages(sf_dir, fanout_blocks=32)
+    pages = corpus.read_pages(sf_dir)
     ext = extract_pages(pages)
     return ext.map_batches(
         lambda t: t.filter(pc.equal(t.column("status"), "ok")).select(
@@ -43,7 +53,7 @@ def extract_pages_text(sf_dir: str):
 def quality_by_host_stats(sf_dir: str):
     """groupby(host) extraction-quality stats (north-rule requirement),
     restricted to the SQL-reproducible columns."""
-    pages = corpus.read_pages(sf_dir, fanout_blocks=32)
+    pages = corpus.read_pages(sf_dir)
     q = quality_by_host(extract_pages(pages))
     return q.map_batches(
         lambda t: t.select(["host", "n_pages", "n_ok", "n_error", "n_empty", "sum_chars"]),
@@ -54,7 +64,7 @@ def quality_by_host_stats(sf_dir: str):
 def problem_rows(sf_dir: str):
     """The diverted problems side-table (transaction_normalizer.py:33-39
     pattern): every non-ok row with its machine-readable reason."""
-    pages = corpus.read_pages(sf_dir, fanout_blocks=32)
+    pages = corpus.read_pages(sf_dir)
     ext = extract_pages(pages)
     return ext.map_batches(
         lambda t: t.filter(pc.not_equal(t.column("status"), "ok")).select(
@@ -71,7 +81,7 @@ def extraction_diagnostics(sf_dir: str):
     see where rows went. All integers — hash-exact oracle."""
     import pyarrow.compute as pc2
 
-    pages = corpus.read_pages(sf_dir, fanout_blocks=32)
+    pages = corpus.read_pages(sf_dir)
     ext = extract_pages(pages)
 
     def partial(t):
@@ -88,12 +98,8 @@ def extraction_diagnostics(sf_dir: str):
             }
         )
 
-    agg = ext.map_batches(partial, batch_format="pyarrow").sum(
-        ["n_pages", "n_ok", "n_error", "n_empty", "n_content_blocks", "sum_extracted_chars"]
-    )
-    import pandas as pd
-
-    return pd.DataFrame([{k.replace("sum(", "").replace(")", ""): v for k, v in agg.items()}])
+    cols = ["n_pages", "n_ok", "n_error", "n_empty", "n_content_blocks", "sum_extracted_chars"]
+    return _audit_row(ext.map_batches(partial, batch_format="pyarrow").sum(cols), cols, "sum({})")
 
 
 def dedup_replicated_corpus(sf_dir: str):
@@ -102,12 +108,11 @@ def dedup_replicated_corpus(sf_dir: str):
     extracted, then deduplicated by content hash. Returns one audit row
     (n_rows, n_groups, max_group); the oracle knows every well-formed text
     must appear exactly twice and collapse to one group."""
-    import pandas as pd
     from ray.data.aggregate import Count, Max, Sum
 
     from ..functions.hashing import sha256_hex
 
-    pages = corpus.read_pages(sf_dir, replicate=2, fanout_blocks=32)
+    pages = corpus.read_pages(sf_dir, replicate=2)
     ext = extract_pages(pages)
 
     def shas(t: pa.Table) -> pa.Table:
@@ -122,13 +127,7 @@ def dedup_replicated_corpus(sf_dir: str):
     agg = groups.aggregate(
         Sum(on="n", alias_name="n_rows"), Count(alias_name="n_groups"), Max(on="n", alias_name="max_group")
     )
-    return pd.DataFrame(
-        {
-            "n_rows": [int(agg["n_rows"])],
-            "n_groups": [int(agg["n_groups"])],
-            "max_group": [int(agg["max_group"])],
-        }
-    )
+    return _audit_row(agg, ["n_rows", "n_groups", "max_group"])
 
 
 def cc_pipeline_audit(sf_dir: str):
@@ -143,7 +142,7 @@ def cc_pipeline_audit(sf_dir: str):
     from ..functions.hashing import sha256_hex
     from ..functions.quality import quality_features
 
-    pages = corpus.read_pages(sf_dir, replicate=2, fanout_blocks=32)
+    pages = corpus.read_pages(sf_dir, replicate=2)
     ext = extract_pages(pages)
 
     def quality_keep(t: pa.Table) -> pa.Table:
@@ -195,20 +194,9 @@ def cc_pipeline_audit(sf_dir: str):
             }
         )
 
-    agg = (
-        cogroup(ext.map_batches(quality_keep, batch_format="pyarrow"), "text_sha", bucket_partial)
-        .sum(["n_pages", "n_ok", "n_quality_kept", "n_unique"])
-    )
-    return pd.DataFrame(
-        [
-            {
-                "n_pages": int(agg["sum(n_pages)"]),
-                "n_ok": int(agg["sum(n_ok)"]),
-                "n_quality_kept": int(agg["sum(n_quality_kept)"]),
-                "n_unique": int(agg["sum(n_unique)"]),
-            }
-        ]
-    )
+    cols = ["n_pages", "n_ok", "n_quality_kept", "n_unique"]
+    agg = cogroup(ext.map_batches(quality_keep, batch_format="pyarrow"), "text_sha", bucket_partial).sum(cols)
+    return _audit_row(agg, cols, "sum({})")
 
 
 #: above this many exact-dedup representatives the survivor semi-join stops
@@ -257,7 +245,7 @@ def corpus_near_dup_pipeline(sf_dir: str):
     from ..functions.quality import quality_features
     from .dedup import connected_components, minhash_near_dup_ds
 
-    pages = corpus.read_pages(sf_dir, replicate=2, fanout_blocks=32)
+    pages = corpus.read_pages(sf_dir, replicate=2)
     ext = extract_pages(pages)
 
     def quality_keep(t: pa.Table) -> pa.Table:
@@ -303,15 +291,14 @@ def corpus_near_dup_pipeline(sf_dir: str):
         sent = pc.sum(pc.cast(pc.equal(t.column("doc_id"), -1), pa.int64())).as_py() or 0
         return pa.table(
             {
-                "n_in": pa.array([pc.sum(t.column("n_in")).as_py() or 0], pa.int64()),
+                "n_pages": pa.array([pc.sum(t.column("n_in")).as_py() or 0], pa.int64()),
                 "n_ok": pa.array([pc.sum(t.column("n_ok")).as_py() or 0], pa.int64()),
-                "n_kept": pa.array([t.num_rows - sent], pa.int64()),
+                "n_quality_kept": pa.array([t.num_rows - sent], pa.int64()),
             }
         )
 
-    counters = kept.map_batches(counter_partial, batch_format="pyarrow").sum(
-        ["n_in", "n_ok", "n_kept"]
-    )
+    cols = ["n_pages", "n_ok", "n_quality_kept"]
+    counters = kept.map_batches(counter_partial, batch_format="pyarrow").sum(cols)
 
     # EXACT dedup: min doc_id per content hash, then a semi-join of the kept
     # rows against the representative set (representatives keep their text
@@ -327,7 +314,9 @@ def corpus_near_dup_pipeline(sf_dir: str):
     # document (r3, same shape as relational.dedup_exact)
     reps = combine(real, "text_sha", {"doc_id": ("doc_id", "min")}).materialize()
     n_exact_unique = reps.count()
-    if n_exact_unique <= SURVIVOR_BROADCAST_THRESHOLD:
+    if n_exact_unique == 0:  # nothing kept (an input with no rows): no ids to broadcast
+        survivors = real
+    elif n_exact_unique <= SURVIVOR_BROADCAST_THRESHOLD:
         rep_ids = reps.map_batches(
             lambda t: t.select(["doc_id"]), batch_format="pyarrow"
         ).to_pandas()
@@ -369,21 +358,12 @@ def corpus_near_dup_pipeline(sf_dir: str):
             comp = comp.materialize()
             members = int(comp.count())
             n_clusters = int(combine(comp, "component", {}).count())
-    n_final = n_exact_unique - members + n_clusters
-
-    return pd.DataFrame(
-        [
-            {
-                "n_pages": int(counters["sum(n_in)"]),
-                "n_ok": int(counters["sum(n_ok)"]),
-                "n_quality_kept": int(counters["sum(n_kept)"]),
-                "n_exact_unique": int(n_exact_unique),
-                "n_near_dup_pairs": n_pairs,
-                "n_clusters": int(n_clusters),
-                "n_final": int(n_final),
-            }
-        ]
-    )
+    row = _audit_row(counters, cols, "sum({})")
+    row["n_exact_unique"] = int(n_exact_unique)
+    row["n_near_dup_pairs"] = n_pairs
+    row["n_clusters"] = int(n_clusters)
+    row["n_final"] = int(n_exact_unique - members + n_clusters)
+    return row
 
 
 def langid_predict(sf_dir: str):
@@ -838,7 +818,7 @@ def extract_outlinks(sf_dir: str):
     link volume and streams."""
     import re
 
-    pages = corpus.read_pages(sf_dir, fanout_blocks=32)
+    pages = corpus.read_pages(sf_dir)
     href_re = re.compile(rb'<a href="([^"]*)"')
 
     def links(t: pa.Table) -> pa.Table:
@@ -887,7 +867,7 @@ def training_export_audit(sf_dir: str):
     from ..functions.quality import quality_features
 
     KNUTH = 2654435761
-    pages = corpus.read_pages(sf_dir, fanout_blocks=32)
+    pages = corpus.read_pages(sf_dir)
     ext = extract_pages(pages)
 
     def winner_partials(t: pa.Table) -> pa.Table:
@@ -942,7 +922,7 @@ def training_export_audit(sf_dir: str):
 
     cols = ["n_unique", "n_train", "n_val", "n_test", "tok_train", "tok_val", "tok_test"]
     agg = cogroup(ext.map_batches(winner_partials, batch_format="pyarrow"), "text_sha", bucket_partial).sum(cols)
-    return pd.DataFrame([{c: int(agg[f"sum({c})"]) for c in cols}])
+    return _audit_row(agg, cols, "sum({})")
 
 
 #: static domain blocklist (UT1-style) merged with the computed reputation
@@ -1016,6 +996,7 @@ def export_roundtrip_manifest(sf_dir: str, n_parts: int = 16):
     a failed run re-exports only missing parts); the read-back manifest is
     per-batch (part, Σh mod p, n) partials folded driver-side (≤B·parts
     tiny rows)."""
+    import os
     import shutil
 
     import pandas as pd
@@ -1040,8 +1021,6 @@ def export_roundtrip_manifest(sf_dir: str, n_parts: int = 16):
         8
     ).write_parquet(out_dir, partition_cols=["part_id"])
 
-    back = rd.read_parquet(out_dir)
-
     def partial(t: pa.Table) -> pa.Table:
         p = pc.cast(t.column("part_id"), pa.int64()).to_numpy(zero_copy_only=False)
         sh = row_sha256(t, ["doc_id", "text"]).to_pylist()
@@ -1058,7 +1037,10 @@ def export_roundtrip_manifest(sf_dir: str, n_parts: int = 16):
             }
         )
 
-    parts = back.map_batches(partial, batch_format="pyarrow").to_pandas()
+    # a write of no rows leaves no directory to read back
+    if not os.path.isdir(out_dir):
+        return pd.DataFrame({c: pd.Series(dtype=np.int64) for c in ["part_id", "n_rows", "checksum"]})
+    parts = rd.read_parquet(out_dir).map_batches(partial, batch_format="pyarrow").to_pandas()
     rows = []
     for pid, g in parts.groupby("part_id"):
         s = 0
@@ -1120,11 +1102,12 @@ def ccnet_perplexity_buckets(sf_dir: str, phi: float = 0.001):
     from proven shapes:
 
     - scores: two passes + bounded vocab broadcast (see the score op);
-    - tertiles: scores are 4dp-rounded ⇒ an integer 1e-4 grid whose range
-      is bounded by the LM floor (|ln φ|·1e4 units, ~7e4 bins — a constant,
-      not corpus-sized), so ONE bincount pass + driver cumsum yields exact
-      quantile_disc elements (rank = max(ceil(q·n), 1), Fraction arithmetic
-      — float q·n drifts, NOTES);
+    - tertiles: scores are 4dp-rounded ⇒ an integer 1e-4 grid with at most
+      |ln φ|·1e4 units (~7e4, bounded by the LM floor — a constant, not
+      corpus-sized). ``combine_frame`` counts the docs per unit and a
+      driver cumsum over the sorted units yields exact quantile_disc
+      elements (rank = max(ceil(q·n), 1) in Fraction arithmetic: 1/3 is not
+      dyadic, and float q·n drifts, NOTES);
     - assignment: broadcast two thresholds, vectorized CASE.
 
     Bit-exactness of the reconstructed thresholds: units/1e4 is the same
@@ -1135,42 +1118,19 @@ def ccnet_perplexity_buckets(sf_dir: str, phi: float = 0.001):
 
     scores = unigram_logprob_score(sf_dir, phi=phi).materialize()
 
-    def units(t: pa.Table) -> np.ndarray:
-        return np.round(
-            t.column("lm_score").to_numpy(zero_copy_only=False) * 1e4
-        ).astype(np.int64)
+    def units(t: pa.Table) -> pa.Table:
+        u = np.round(t.column("lm_score").to_numpy(zero_copy_only=False) * 1e4).astype(np.int64)
+        return pa.table({"unit": u})
 
-    def minmax_partial(t: pa.Table) -> pa.Table:
-        u = units(t)
-        if len(u) == 0:
-            return pa.table({"lo": pa.array([], pa.int64()), "hi": pa.array([], pa.int64()), "n": pa.array([], pa.int64())})
-        return pa.table(
-            {
-                "lo": pa.array([int(u.min())]),
-                "hi": pa.array([int(u.max())]),
-                "n": pa.array([len(u)]),
-            }
-        )
-
-    mm = scores.map_batches(
-        minmax_partial, batch_format="pyarrow", zero_copy_batch=True
-    ).to_pandas()
-    lo, hi, n = int(mm["lo"].min()), int(mm["hi"].max()), int(mm["n"].sum())
-    assert hi - lo < 2_000_000, "score grid wider than the LM floor bounds allow"
-
-    def hist_partial(t: pa.Table) -> pa.Table:
-        c = np.bincount(units(t) - lo, minlength=hi - lo + 1).astype(np.int64)
-        return pa.table({"counts": pa.array([c.tolist()], pa.list_(pa.int64()))})
-
-    parts = scores.map_batches(
-        hist_partial, batch_format="pyarrow", zero_copy_batch=True
-    ).to_pandas()
-    total = np.sum(np.stack([np.asarray(v) for v in parts["counts"]]), axis=0)
-    cum = np.cumsum(total)
+    hist = combine_frame(
+        scores.map_batches(units, batch_format="pyarrow", zero_copy_batch=True), "unit", {"n": (None, "count")}
+    )
+    cum = np.cumsum(hist["n"].to_numpy(dtype=np.int64))
+    n = int(cum[-1])
 
     def tertile(q: Fraction) -> float:
         rank = max(ceil(q * n), 1)
-        return (lo + int(np.searchsorted(cum, rank))) / 1e4
+        return int(hist["unit"].iat[int(np.searchsorted(cum, rank))]) / 1e4
 
     t1, t2 = tertile(Fraction(1, 3)), tertile(Fraction(2, 3))
 

@@ -23,14 +23,15 @@ one commit. A wave computes each document's url-hash partition from its
 ``doc_id`` (the page url is a function of it) right after the read and drops
 every other wave's documents before the fan-out and the render, so each page
 is rendered and extracted once across all waves and a wave's work is its own
-share of the input. On a real sharded corpus a unit maps to a set of input
-FILES and the wave reads only its own shards; the single-file testdata is
-read whole by every wave, which costs a column scan, not a render.
+share of the input. The wave's fan-out is the same share of a whole-input
+read's (``ioutil.fan_out``), so its rows per block match a one-shot run. On
+a real sharded corpus a unit maps to a set of input FILES and the wave reads
+only its own shards; the single-file testdata is read whole by every wave,
+which costs a column scan, not a render.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import shutil
 import uuid
@@ -156,13 +157,6 @@ class PassCheckpointer:
         os.replace(tmp, marker)
 
 
-# Fan-out of a whole-input run over the single-file input
-# (``corpus.read_pages(fanout_blocks=16)``); a unit with k of P partitions
-# to compute gets ceil(FANOUT_BLOCKS·k/P) blocks, so its rows per block
-# match a whole-input run.
-FANOUT_BLOCKS = 16
-
-
 def doc_part_ids(doc_ids: pa.Array, num_partitions: int) -> pa.Array:
     """url-hash partition id on the DOCUMENTS side: the same crc32 of
     ``corpus.url_for_doc(doc_id)`` the extractor writes into ``part_id``, so
@@ -193,16 +187,19 @@ def extract_with_resume(
     (``doc_part_ids``) is not among the unit's uncommitted partitions are
     dropped right after the read, so a page is rendered and extracted by
     exactly one unit. The unit's fan-out is sized to its share: with k of
-    ``num_partitions`` (P) partitions still to compute it repartitions into
-    ceil(16·k/P) blocks, so ``units=1`` keeps 16 and a partly committed unit
-    on the resume leg gets fewer. On a sharded corpus a unit maps to a set
-    of input files instead, and reads only those.
+    ``num_partitions`` (P) partitions still to compute it takes the k/P
+    share of a whole-input read's fan-out (``ioutil.fan_out``), so
+    ``units=1`` fans out like ``corpus.read_pages`` and a partly committed
+    unit on the resume leg gets fewer blocks. Every block writes one file
+    per partition it holds, so on a 1-CPU cluster a unit of 4 partitions
+    writes at most 4 data files. On a sharded corpus a unit maps to a set of
+    input files instead, and reads only those.
 
     ``fail_after_units`` simulates a worker/driver loss between commits
     (used by the resume test).
     """
     from .. import corpus
-    from ..ioutil import read_table
+    from ..ioutil import fan_out, read_table
     from ..pipelines.extract import extract_pages
 
     ledger = LineageLedger(out_dir)
@@ -237,7 +234,7 @@ def extract_with_resume(
             zero_copy_batch=True,
             batch_size=None,
         )
-        docs = docs.repartition(math.ceil(FANOUT_BLOCKS * len(todo) / num_partitions))
+        docs = fan_out(docs, len(todo) / num_partitions)
         pages = corpus.pages_from_documents(docs)
         ext = extract_pages(pages, num_partitions=num_partitions)
         ext.write_parquet(

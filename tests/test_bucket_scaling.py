@@ -505,6 +505,25 @@ _ZERO_ROW_CASES = [
     ("median_gap_by_type", 0, "event_type:object,median_gap_s:float64,n_gaps:int64"),
     ("bpe_train_merges", 0, "rank:int64,left:object,right:object,pair_count:int64"),
     ("pack_sequences", 0, "doc_id:int64,seq_id:int64,frag_start:int64,frag_len:int64"),
+    ("dedup_replicated_corpus", 1, "n_rows:int64,n_groups:int64,max_group:int64"),
+    ("cc_pipeline_audit", 1, "n_pages:int64,n_ok:int64,n_quality_kept:int64,n_unique:int64"),
+    (
+        "training_export_audit",
+        1,
+        "n_unique:int64,n_train:int64,n_val:int64,n_test:int64,tok_train:int64,tok_val:int64,tok_test:int64",
+    ),
+    (
+        "corpus_near_dup_pipeline",
+        1,
+        "n_pages:int64,n_ok:int64,n_quality_kept:int64,n_exact_unique:int64,"
+        "n_near_dup_pairs:int64,n_clusters:int64,n_final:int64",
+    ),
+    ("export_roundtrip_manifest", 0, "part_id:int64,n_rows:int64,checksum:int64"),
+    (
+        "extraction_diagnostics",
+        1,
+        "n_pages:int64,n_ok:int64,n_error:int64,n_empty:int64,n_content_blocks:int64,sum_extracted_chars:int64",
+    ),
 ]
 
 #: Dataset results whose last stage is a UDF: Ray runs no UDF on a

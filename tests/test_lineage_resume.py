@@ -200,7 +200,8 @@ def test_doc_side_part_id_matches_rendered_url(sf_dir, sf_name):
 def test_final_table_is_invariant_to_unit_count(sf_dir, tmp_path, one_shot):
     """units=3 splits 16 partitions 6/5/5; every unit count must give the
     one-shot extraction, and each unit writes at most fan-out × partitions
-    files (fan-out = ceil(16·k/P))."""
+    files (``ioutil.fan_out`` gives ceil(16·k/P) blocks on the 4-CPU test
+    session)."""
     import math
 
     for units in (1, 3, 4, 16):
@@ -211,3 +212,34 @@ def test_final_table_is_invariant_to_unit_count(sf_dir, tmp_path, one_shot):
         bound = sum(math.ceil(16 * k / DEFAULT_NUM_PARTITIONS) * k for k in sizes)
         n_files = sum(len(fs) for _, _, fs in os.walk(os.path.join(out, "data")))
         assert n_files <= bound, (units, n_files, bound)
+
+
+@pytest.mark.parametrize("cpus", [1, 16])
+def test_fan_out_follows_the_cpu_count(sf_dir, tmp_path, monkeypatch, cpus):
+    """Planted CPU counts: ``ioutil.fan_out`` sizes the read fan-out of
+    ``corpus.read_pages`` and of every resume unit by the CPUs it reads, and
+    no result may depend on them. At 1 and at 16 CPUs the extraction equals
+    the ``fanout_blocks=32`` one row for row, and a 4-unit crash+resume
+    equals it too. At 1 CPU each unit is one block, so the run writes at
+    most the 16 partitions' data files plus one ledger file per unit (a
+    count fixed at 16 blocks for the whole input wrote 68)."""
+    from pdf_extractor_ray import corpus, ioutil
+    from pdf_extractor_ray.pipelines.extract import extract_pages
+
+    def rows(ds):
+        return _canon(pa.concat_tables(ds.iter_batches(batch_format="pyarrow", batch_size=None)))
+
+    pinned = rows(extract_pages(corpus.read_pages(sf_dir, fanout_blocks=32)))
+    monkeypatch.setattr(ioutil, "cluster_cpus", lambda: cpus)
+    assert rows(extract_pages(corpus.read_pages(sf_dir))).equals(pinned)
+
+    out = str(tmp_path / "run")
+    with pytest.raises(RuntimeError, match="injected_failure"):
+        extract_with_resume(sf_dir, out, units=4, fail_after_units=2)
+    extract_with_resume(sf_dir, out, units=4)
+    assert _read_data(out).equals(pinned)
+    n_files = sum(len(fs) for _, _, fs in os.walk(out))
+    if cpus == 1:
+        assert n_files <= DEFAULT_NUM_PARTITIONS + 4, n_files
+    else:
+        assert n_files > DEFAULT_NUM_PARTITIONS + 4, n_files

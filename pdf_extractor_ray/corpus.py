@@ -57,7 +57,6 @@ WARC_TS_STEP_US = 137_000_000  # per-doc spacing (137 s) — ONE constant, two c
 PDF_MAGIC = b"%PDF-1.4"  # used by render_pdf; PdfLayoutExtractor checks the "%PDF" prefix
 
 # PDF-like layout geometry (points, letter-size page)
-PAGE_WIDTH = 612
 COL_X = (72, 330)  # two columns
 COL_WORDS_PER_LINE = 5
 COL_LINES = 20  # lines per column
@@ -263,15 +262,15 @@ def replicate_documents(batch: pa.Table, replicate: int) -> pa.Table:
 def read_pages(sf_dir: str, replicate: int = 1, fanout_blocks: int | None = None, paragraphs: int = 1):
     """Read the documents table (only needed columns) and synthesize pages.
 
-    The single-file read is fanned out right after the read into a block
-    count sized by the cluster's CPUs (``ioutil.fan_out``), so the render
-    and everything downstream run in parallel. ``fanout_blocks`` pins the
-    block count instead, for runs that must split work the same way on any
-    cluster (a benchmark's fixed split, block-invariance tests)."""
-    from .ioutil import fan_out, read_table
+    The single-file read is split into a block count sized by the cluster's
+    CPUs inside the read itself (``ioutil.read_table(share=1.0)``), so the
+    render and everything downstream run in parallel with no repartition
+    before the first render. ``fanout_blocks`` pins the block count instead,
+    for runs that must split work the same way on any cluster (a
+    benchmark's fixed split, block-invariance tests)."""
+    from .ioutil import read_table
 
-    docs = read_table(sf_dir, "documents", ["doc_id", "text", "lang"])
-    docs = docs.repartition(fanout_blocks) if fanout_blocks else fan_out(docs)
+    docs = read_table(sf_dir, "documents", ["doc_id", "text", "lang"], share=1.0, blocks=fanout_blocks)
     if replicate > 1:
         docs = docs.map_batches(
             lambda t: replicate_documents(t, replicate),

@@ -21,15 +21,15 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.sketches import MinHasher, char_ngrams, jaccard, shingles, simhash64
-from ..ioutil import fan_out, read_table
+from ..ioutil import read_table
 from .buckets import cogroup, combine, combine_frame
 
 NUM_PERM = 64
 NUM_BANDS = 16  # 16 bands × 4 rows → catches J≳0.6 with high prob
 
 
-def _read_docs(sf_dir: str, columns=("doc_id", "text")):
-    return read_table(sf_dir, "documents", list(columns))
+def _read_docs(sf_dir: str, columns=("doc_id", "text"), share: float | None = None):
+    return read_table(sf_dir, "documents", list(columns), share=share)
 
 
 class MinHashBander:
@@ -109,7 +109,7 @@ def _band_batch(t: pa.Table, *, mode: str) -> pa.Table:
 
 def minhash_candidates(sf_dir: str, mode: str = "word"):
     """documents table → candidate pairs (see minhash_candidates_ds)."""
-    return minhash_candidates_ds(fan_out(_read_docs(sf_dir)), mode=mode)
+    return minhash_candidates_ds(_read_docs(sf_dir, share=1.0), mode=mode)
 
 
 def minhash_candidates_ds(docs_ds, mode: str = "word"):
@@ -356,7 +356,7 @@ def _verify_candidates(docs_ds, pairs, n_cand: int, sim_fn, threshold: float):
 
 def minhash_near_dup(sf_dir: str, threshold: float = 0.6):
     """documents table → verified near-dup pairs (see minhash_near_dup_ds)."""
-    return minhash_near_dup_ds(fan_out(_read_docs(sf_dir)), threshold=threshold)
+    return minhash_near_dup_ds(_read_docs(sf_dir, share=1.0), threshold=threshold)
 
 
 def minhash_near_dup_ds(docs_ds, threshold: float = 0.6):
@@ -780,7 +780,7 @@ def simhash_near_dup(sf_dir: str, max_hamming: int = 3):
             }
         )
 
-    fp_ds = fan_out(_read_docs(sf_dir)).map_batches(
+    fp_ds = _read_docs(sf_dir, share=1.0).map_batches(
         fp, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
     )
     return simhash_near_dup_ds(fp_ds, max_hamming=max_hamming)
@@ -828,7 +828,7 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.9, max_candidates: int
         # (band duplicates sort adjacent, so the prefix stays deterministic)
         pairs = pairs.sort(["doc_a", "doc_b"]).limit(max_candidates).materialize()
         n_cand = max_candidates
-    verified = _verify_candidates(fan_out(_read_docs(sf_dir)), pairs, n_cand, _jaccard_char_ngrams, threshold)
+    verified = _verify_candidates(_read_docs(sf_dir, share=1.0), pairs, n_cand, _jaccard_char_ngrams, threshold)
     return _dedup_verified(verified, "doc_a", "doc_b", "jaccard_r")
 
 

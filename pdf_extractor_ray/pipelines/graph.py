@@ -569,7 +569,7 @@ def kcore_nodes(sf_dir: str, k: int = 3, max_rounds: int = 50, frontier_broadcas
     import ray
 
 
-    # a coalesce to O(CPUs) blocks, not a read fan-out (``ioutil.fan_out``)
+    # a coalesce to O(CPUs) blocks, not a read fan-out (``ioutil.read_table``)
     edges = (
         _part_cooccurrence_edges(sf_dir)
         .repartition(8)

@@ -2100,25 +2100,19 @@ def association_rules_topk(sf_dir: str, k: int = 20, min_count: int = 2):
     c_ab/c_a, lift = n·c_ab/(c_a·c_b); top-k by (lift DESC, ante, cons).
 
     Scale shape: pair counts from the shared ``_packed_pair_counts``
-    shuffles; item supports are a part-cardinality-sized bucket merge of
-    per-batch DISTINCT (order, part) partials; n (distinct orders) comes
-    from per-batch unique partials + one ok-hash bucket distinct count.
+    shuffles; n (distinct orders) is a DISTINCT on ``combine``, and item
+    supports are COUNT(DISTINCT order) per part on ``combine``, over the
+    (order, part) rows of the parts that head or end a surviving pair.
     Only pairs with c_ab ≥ min_count reach the driver finish (rule-sized
     by construction): the min-support filter runs right after
     ``combine``'s pair merge, which itself may run on the driver. Both divisions round half-away 6dp (integer ratios
     can land exact decimal ties — CLAUDE.md rounding rule); the top-k
     orders by the ROUNDED lift so tie ordering matches the oracle."""
     # ONE materialized packed projection feeds all three passes (pair
-    # miner, distinct-order count, item supports) — one parquet decode,
-    # one-int64-column shuffles throughout (r4 rework)
+    # miner, distinct-order count, item supports) — one parquet decode
     dp = _distinct_ok_pk_packed(sf_dir).materialize()
 
-    def order_uniques(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"n": [int(np.unique(g["packed"].to_numpy() >> 32).size)]}
-        )
-
-    n_orders = int(cogroup(dp, "ok", order_uniques).sum("n") or 0)  # None on no rows
+    n_orders = combine(dp.select_columns(["ok"]), "ok", {}).count()
     if n_orders == 0:  # no orders, no rules: the result's columns and types
         ids = np.empty(0, np.int64)
         return pd.DataFrame({"ante": ids, "cons": ids, "n_orders": ids, "confidence": np.empty(0), "lift": np.empty(0)})
@@ -2131,27 +2125,18 @@ def association_rules_topk(sf_dir: str, k: int = 20, min_count: int = 2):
     pa_ = (pairs["pair"].to_numpy(dtype=np.int64) >> 32).astype(np.int64)
     pb_ = (pairs["pair"].to_numpy(dtype=np.int64) & 0xFFFFFFFF).astype(np.int64)
 
-    # semi-join item supports to the surviving antecedents/consequents
-    # INSIDE the bucket merge (broadcast the rule-sized survivor set via
-    # ray.put) — the driver never sees the full per-part support table
-    import ray
+    # item supports only for the surviving antecedents/consequents: the
+    # rule-sized part set is a semi-join filter before the distinct, so the
+    # driver never sees the full per-part support table
+    surv = pa.array(np.unique(np.concatenate([pa_, pb_])))
 
-    surv_ref = ray.put(np.unique(np.concatenate([pa_, pb_])))
+    def order_part(t: pa.Table) -> pa.Table:
+        pk = pc.bit_wise_and(t.column("packed"), pa.scalar(0xFFFFFFFF, pa.int64()))
+        return pa.table({"ok": t.column("ok"), "pk": pk}).filter(pc.is_in(pk, value_set=surv))
 
-    def add_pk(t: pa.Table) -> pa.Table:
-        v = t.column("packed").to_numpy(zero_copy_only=False)
-        return pa.table({"pk": pa.array(v & 0xFFFFFFFF), "packed": pa.array(v)})
-
-    def item_counts(g: pd.DataFrame) -> pd.DataFrame:
-        v = np.unique(g["packed"].to_numpy())  # cross-batch (ok, pk) dedup
-        uniq, cnt = np.unique(v & 0xFFFFFFFF, return_counts=True)
-        m = np.isin(uniq, ray.get(surv_ref))
-        return pd.DataFrame({"pk": uniq[m], "c": cnt[m].astype(np.int64)})
-
-    item = cogroup(
-        dp.map_batches(add_pk, batch_format="pyarrow", zero_copy_batch=True), "pk", item_counts
-    ).to_pandas()
-    item = item.set_index("pk")["c"]  # each pk lives in exactly one bucket
+    rows = dp.map_batches(order_part, batch_format="pyarrow", zero_copy_batch=True)
+    item = combine_frame(combine(rows, ["ok", "pk"], {}), "pk", {"c": (None, "count")})
+    item = item.set_index("pk")["c"]
     cab = pairs["n_orders"].to_numpy(dtype=np.int64)
     ante = np.concatenate([pa_, pb_])
     cons = np.concatenate([pb_, pa_])

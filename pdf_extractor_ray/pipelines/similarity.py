@@ -435,8 +435,9 @@ def _normalized_xs(sf_dir: str):
 
     # NOTES block-count rule: this table is re-scanned every Lloyd round —
     # coalesce the reader's splinter blocks before pinning it. A fixed
-    # count, not ``ioutil.fan_out``: per-block partial sums are added in
-    # ``partial_id`` order, so the count pins the float result.
+    # count, not a read fan-out (``ioutil.read_table``): per-block partial
+    # sums are added in ``partial_id`` order, so the count pins the float
+    # result.
     return (
         _read_embeddings(sf_dir)
         .map_batches(normalize, batch_format="pyarrow", zero_copy_batch=True)

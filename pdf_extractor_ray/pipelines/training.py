@@ -562,8 +562,9 @@ def logreg_quality_train(sf_dir: str, iters: int = 25, lr: float = 2.5):
     # GD step — 128 splinter blocks × iters = thousands of task launches
     # (measured 22.6 s vs 7.5 s at sf0.1). Blocks sized to the data, not
     # the reader's splinters.
-    # A fixed count, not ``ioutil.fan_out``: per-block partial gradients are
-    # summed in ``_key`` order, so the count pins the float result.
+    # A fixed count, not a read fan-out (``ioutil.read_table``): per-block
+    # partial gradients are summed in ``_key`` order, so the count pins the
+    # float result.
     fds = (
         ds.map_batches(feats, batch_format="pyarrow", zero_copy_batch=True)
         .repartition(8)

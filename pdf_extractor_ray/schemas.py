@@ -1,7 +1,8 @@
 """Arrow schemas and shared constants for the engine.
 
-The canonical input table (``pages``) follows BASELINE.json's ``input_hint``:
-``url:string, warc_ts:timestamp[us], html:binary, text:string, lang:string``.
+The input table (``pages``, built by ``corpus.pages_batch_from_documents``)
+follows BASELINE.json's ``input_hint``: ``url:string, warc_ts:timestamp[us],
+html:binary, text:string, lang:string``, after a ``doc_id:int64`` key.
 
 The extracted-output schema mirrors FIXTURES.md §1 and plays the role the
 reference's ``TransactionRecord``/``ParserOutput`` contract plays
@@ -13,20 +14,6 @@ status) — re-expressed as a ``pyarrow.Schema`` instead of Pydantic models.
 from __future__ import annotations
 
 import pyarrow as pa
-
-# ---------------------------------------------------------------------------
-# pages — the engine's input table (BASELINE.json input_hint)
-# ---------------------------------------------------------------------------
-PAGES_SCHEMA = pa.schema(
-    [
-        pa.field("doc_id", pa.int64()),  # provenance key into the source corpus
-        pa.field("url", pa.string()),
-        pa.field("warc_ts", pa.timestamp("us")),
-        pa.field("html", pa.binary()),
-        pa.field("text", pa.string()),  # noisy crawl-provided text (NOT the answer)
-        pa.field("lang", pa.string()),
-    ]
-)
 
 SPAN_TYPE = pa.struct(
     [

@@ -10,7 +10,10 @@ as an HTML block classifier:
 
 1. segment the document into block-level text runs (single-pass regex
    scanner, entity-aware, with exact char-offset spans into the decoded
-   document — replaced stdlib html.parser, which was 83% of extraction CPU),
+   document — replaced stdlib html.parser, which was 83% of extraction CPU).
+   The scan matches tags only: a text run is the gap between two tags, and
+   a ``<script>``/``<style>``/… body is passed over in one regex match,
+   so the Python loop runs once per tag and its kind is one dict lookup,
 2. score each block: total chars, chars inside ``<a>`` (link density),
 3. keep blocks that are long enough, link-sparse, and not boilerplate-phrased;
    everything else is labelled boilerplate (kept in ``spans`` for lineage).
@@ -56,86 +59,114 @@ _BLOCK_TAGS = frozenset(
 _SKIP_TAGS = frozenset("script style noscript template svg head title".split())
 _WS_RE = re.compile(r"\s+")
 
-# fast scanner: one pass over the document — comments, markup declarations,
-# named tags (slash + name CAPTURED so the scanner never runs a second
-# regex or slices a head per token — r4 profile: the secondary
-# _TAG_NAME_RE.match was ~1.2M extra match calls + match-object/head-slice
-# allocations per 20k docs), other '<…>' garbage, text runs, and a trailing
-# unterminated '<' fragment (truncated docs). The named-tag alternative's
-# `(?:>|$)` keeps truncated named tags (`<a hre` at EOF) classified as tags,
-# exactly as the old two-pass scanner did via _TAG_NAME_RE on the fragment.
-_TOKEN_RE = re.compile(
+# Tag-only tokenizer. Every '<' starts exactly one token, tried in this
+# order: a comment, a markup declaration, a named tag (slash and name
+# CAPTURED, so no second regex runs per tag), other '<…>' garbage, and a
+# trailing unterminated '<' fragment (truncated docs). The named tag's
+# `(?:>|$)` keeps a truncated tag (`<a hre` at EOF) a tag. A text run is
+# the gap between two tokens (it never holds '<'), so the scan's Python
+# loop runs once per tag, not once per tag and once per text run.
+_NAMED_TAIL = r"[^>]*(?:>|$)"
+_TAG_RE = re.compile(
     r"<!--.*?(?:-->|$)"
     r"|<![^>]*>"
-    r"|<\s*(/?)\s*([a-zA-Z][a-zA-Z0-9:-]*)[^>]*(?:>|$)"
-    r"|<[^>]*>"
-    r"|[^<]+"
+    r"|<\s*(/?)\s*([a-zA-Z][a-zA-Z0-9:-]*)" + _NAMED_TAIL
+    + r"|<[^>]*>"
     r"|<[^>]*$",
     re.DOTALL,
 )
+
+
+# A token inside a skip body, with the extent the scan would give it: a
+# comment, else anything from '<' to the first '>' (or the end) — a named
+# tag, a declaration and garbage all end there — else a text run. No
+# capturing groups: CPython 3.11 mis-tracks groups inside possessive repeats.
+_BODY_TOKEN = r"<!--.*?(?:-->|$)|<[^>]*(?:>|$)|[^<]+"
+
+
+def _skip_body_re(name: str) -> re.Pattern:
+    """Matches the body of an opened skip tag up to and including its close
+    tag, in one call. It steps over whole tokens atomically, the tokens the
+    scan itself would cut, so a close tag inside a comment does not end the
+    body. The close tag's name matches ASCII-case-insensitively and in full
+    (``</scriptx>`` does not close ``<script>``); only the name is
+    ASCII-scoped, so ``\\s`` keeps matching Unicode whitespace as in
+    ``_TAG_RE`` (``<\\u00a0/script>`` closes the body there too)."""
+    close = rf"<\s*/\s*(?ai:{name})(?![a-zA-Z0-9:-])" + _NAMED_TAIL
+    return re.compile(rf"(?:(?!{close})(?>{_BODY_TOKEN}))*+{close}", re.DOTALL)
+
+
+# tag name → what the scan does with it: one dict lookup per tag (the
+# lower-cased name is looked up only on a miss). A skip tag maps to its
+# body regex.
+_BLOCK, _ANCHOR, _BR = "block", "a", "br"
+_KIND: dict = {
+    **dict.fromkeys(_BLOCK_TAGS, _BLOCK),
+    "a": _ANCHOR,
+    "br": _BR,
+    **{t: _skip_body_re(t) for t in _SKIP_TAGS},
+}
+
+
 def _anchor_close_positions(doc: str) -> dict[int, int]:
     """open-tag position → matching close-tag position for every PAIRED
     ``<a>`` in the document (stack pairing). Used lazily by the scanner to
     let a properly-closed anchor's scope survive block boundaries (card
     links) while an unclosed anchor still dies at the boundary.
 
-    Tokenizes with the SAME regexes and skip-tag elision as ``_scan_blocks``
+    Tokenizes with the SAME regexes and skip-body elision as ``_scan_blocks``
     so pre-pass pairing can never disagree with scanner state — an ``</a>``
     inside a comment or a ``<script>`` body does not pair, and ``<a-card>``
     / ``<a:ns>`` custom elements are not anchors."""
     pairs: dict[int, int] = {}
     stack: list[int] = []
-    skip_tag: str | None = None
-    for m in _TOKEN_RE.finditer(doc):
-        name = m.group(2)
-        if name is None:  # text / comment / declaration / '<' garbage
-            continue
-        closing = m.group(1) == "/"
-        name = name.lower()
-        if skip_tag is not None:
-            if closing and name == skip_tag:
-                skip_tag = None
-            continue
-        if not closing and name in _SKIP_TAGS and not doc.startswith("/>", m.end() - 2):
-            skip_tag = name
-        elif name == "a":
-            if closing:
-                if stack:
+    pos = 0
+    while True:
+        for m in _TAG_RE.finditer(doc, pos):
+            name = m.group(2)
+            if name is None:
+                continue
+            kind = _KIND.get(name) or _KIND.get(name.lower())
+            if kind is None or kind is _BLOCK or kind is _BR:
+                continue
+            closing = m.group(1)
+            if kind is _ANCHOR:
+                if not closing:
+                    stack.append(m.start())
+                elif stack:
                     pairs[stack.pop()] = m.start()
-            else:
-                stack.append(m.start())
-    return pairs
+            elif not closing and not doc.startswith("/>", m.end() - 2):
+                body = kind.match(doc, m.end())
+                pos = body.end() if body else len(doc)
+                break
+        else:
+            return pairs
 
 
-def _scan_blocks(doc: str) -> list[dict]:
-    """Segment decoded HTML into text blocks with char-offset spans.
+def _scan_blocks(doc: str) -> list[tuple[str, int, int, int]]:
+    """Segment decoded HTML into text blocks ``(text, link_chars, start,
+    end)`` with char-offset spans.
 
-    A hand-rolled single-regex scanner (~4× faster than stdlib html.parser,
-    which dominated the extraction profile) with the same semantics the test
+    A single-pass scanner over tags only (~4× faster than stdlib html.parser,
+    which dominated the extraction profile), with the semantics the test
     suite pins: skip-tag subtree elision with raw-content skip for
-    script/style, block-tag flush boundaries, <a>-depth link-char counting,
-    entity decoding, <br> → space, tolerant of truncated/unclosed markup.
+    script/style (one regex match per body), block-tag flush boundaries,
+    <a>-depth link-char counting, entity decoding, <br> → space, tolerant of
+    truncated/unclosed markup. Each text run between two tokens is added on
+    its own: entity decoding and link-char counting are per run.
     """
-    blocks: list[dict] = []
+    blocks: list[tuple[str, int, int, int]] = []
     pieces: list[str] = []
     link_chars = 0
     b_start = -1
     b_end = -1
     anchor_stack: list[int] = []  # open positions of <a> tags in scope
     anchor_pairs: dict[int, int] | None = None  # lazy (see flush)
-    skip_tag: str | None = None  # raw-content mode for script/style/title…
 
     def flush(pos: int):
         nonlocal pieces, link_chars, b_start, b_end, anchor_stack, anchor_pairs
         if pieces:
-            blocks.append(
-                {
-                    "text": "".join(pieces),
-                    "link_chars": link_chars,
-                    "start": b_start,
-                    "end": b_end,
-                }
-            )
+            blocks.append(("".join(pieces), link_chars, b_start, b_end))
         pieces = []
         link_chars = 0
         b_start = -1
@@ -162,40 +193,42 @@ def _scan_blocks(doc: str) -> list[dict]:
             b_start = start
         b_end = end
 
-    for m in _TOKEN_RE.finditer(doc):
-        # allocation discipline: the tag slash+name come straight out of the
-        # token match (no head slice, no second regex); only text runs ever
-        # materialize as Python strings (long href attributes never do)
-        name = m.group(2)
-        if name is None:
-            start = m.start()
-            if doc[start] != "<":  # text run
-                if skip_tag is not None:
-                    continue
-                tok = m.group()
-                add(unescape(tok) if "&" in tok else tok, start, m.end())
-            # else: comment / declaration / '<' garbage — skipped
-            continue
-        closing = m.group(1) == "/"
-        name = name.lower()
-        if skip_tag is not None:
-            # raw-content mode: ignore everything until the matching close tag
-            if closing and name == skip_tag:
-                skip_tag = None
-            continue
-        if not closing and name in _SKIP_TAGS and not doc.startswith("/>", m.end() - 2):
-            skip_tag = name
-        elif name in _BLOCK_TAGS:
-            flush(m.start())
-        elif name == "a":
-            if closing:
-                if anchor_stack:
+    prev = 0  # end of the last token (or skipped body): text resumes here
+    pos = 0
+    while True:
+        for m in _TAG_RE.finditer(doc, pos):
+            start, end = m.span()
+            if start > prev:  # the text run before this tag
+                text = doc[prev:start]
+                add(unescape(text) if "&" in text else text, prev, start)
+            prev = end
+            slash, name = m.groups()
+            if name is None:  # comment / declaration / '<' garbage
+                continue
+            kind = _KIND.get(name) or _KIND.get(name.lower())
+            if kind is None:
+                continue
+            if kind is _BLOCK:
+                if pieces or anchor_stack:
+                    flush(start)
+            elif kind is _ANCHOR:
+                if not slash:
+                    anchor_stack.append(start)
+                elif anchor_stack:
                     anchor_stack.pop()
-            else:
-                anchor_stack.append(m.start())
-        elif name == "br":
-            start = m.start()
-            add(" ", start, start)
+            elif kind is _BR:
+                add(" ", start, start)
+            elif not slash and not doc.startswith("/>", end - 2):
+                # raw content: everything up to the matching close tag (the
+                # rest of the document when it has none) is skipped
+                body = kind.match(doc, end)
+                prev = pos = body.end() if body else len(doc)
+                break
+        else:
+            break
+    if prev < len(doc):
+        text = doc[prev:]
+        add(unescape(text) if "&" in text else text, prev, len(doc))
     flush(len(doc))
     return blocks
 
@@ -259,8 +292,7 @@ def extract_html(payload: bytes) -> dict:
         }
     spans = []
     content = []
-    for b in raw_blocks:
-        t = b["text"]
+    for t, link_chars, b_start, b_end in raw_blocks:
         # fast path: most blocks have no whitespace runs to collapse
         if "  " in t or "\n" in t or "\t" in t or "\r" in t:
             norm = _WS_RE.sub(" ", t).strip()
@@ -268,11 +300,11 @@ def extract_html(payload: bytes) -> dict:
             norm = t.strip()
         if not norm:
             continue
-        is_content = classify_block(norm, b["link_chars"])
+        is_content = classify_block(norm, link_chars)
         spans.append(
             {
-                "start": b["start"],
-                "end": b["end"],
+                "start": b_start,
+                "end": b_end,
                 "kind": "content" if is_content else "boilerplate",
             }
         )

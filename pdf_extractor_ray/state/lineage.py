@@ -21,13 +21,13 @@ Unit mapping: partitions are processed in ``units`` waves (unit u owns
 partitions {p : p % units == u}); each wave is one streaming pipeline run and
 one commit. A wave computes each document's url-hash partition from its
 ``doc_id`` (the page url is a function of it) right after the read and drops
-every other wave's documents before the fan-out and the render, so each page
-is rendered and extracted once across all waves and a wave's work is its own
-share of the input. The wave's fan-out is the same share of a whole-input
-read's (``ioutil.fan_out``), so its rows per block match a one-shot run. On
-a real sharded corpus a unit maps to a set of input FILES and the wave reads
-only its own shards; the single-file testdata is read whole by every wave,
-which costs a column scan, not a render.
+every other wave's documents before the render, so each page is rendered and
+extracted once across all waves and a wave's work is its own share of the
+input. The wave's read fan-out is the same share of a whole-input read's
+(``ioutil.read_table(share=...)``), so its rows per block match a one-shot
+run. On a real sharded corpus a unit maps to a set of input FILES and the
+wave reads only its own shards; the single-file testdata is read whole by
+every wave, which costs a column scan, not a render.
 """
 
 from __future__ import annotations
@@ -188,18 +188,19 @@ def extract_with_resume(
     dropped right after the read, so a page is rendered and extracted by
     exactly one unit. The unit's fan-out is sized to its share: with k of
     ``num_partitions`` (P) partitions still to compute it takes the k/P
-    share of a whole-input read's fan-out (``ioutil.fan_out``), so
+    share of a whole-input read's fan-out (``ioutil.read_table``), so
     ``units=1`` fans out like ``corpus.read_pages`` and a partly committed
     unit on the resume leg gets fewer blocks. Every block writes one file
     per partition it holds, so on a 1-CPU cluster a unit of 4 partitions
-    writes at most 4 data files. On a sharded corpus a unit maps to a set of
-    input files instead, and reads only those.
+    is one block: its read, render, extraction and write run as one fused
+    task that writes at most 4 data files. On a sharded corpus a unit maps
+    to a set of input files instead, and reads only those.
 
     ``fail_after_units`` simulates a worker/driver loss between commits
     (used by the resume test).
     """
     from .. import corpus
-    from ..ioutil import fan_out, read_table
+    from ..ioutil import read_table
     from ..pipelines.extract import extract_pages
 
     ledger = LineageLedger(out_dir)
@@ -225,7 +226,7 @@ def extract_with_resume(
                 shutil.rmtree(pdir)
 
         todo_arr = pa.array(todo, type=pa.int32())
-        docs = read_table(sf_dir, "documents", ["doc_id", "text", "lang"])
+        docs = read_table(sf_dir, "documents", ["doc_id", "text", "lang"], share=len(todo) / num_partitions)
         docs = docs.map_batches(
             lambda t: t.filter(
                 pc.is_in(doc_part_ids(t.column("doc_id"), num_partitions), value_set=todo_arr)
@@ -234,7 +235,6 @@ def extract_with_resume(
             zero_copy_batch=True,
             batch_size=None,
         )
-        docs = fan_out(docs, len(todo) / num_partitions)
         pages = corpus.pages_from_documents(docs)
         ext = extract_pages(pages, num_partitions=num_partitions)
         ext.write_parquet(

@@ -936,11 +936,28 @@ DISTINCT_ALLOWLIST = {
         # distinct (user, week) rows feed each user's cohort (first week)
         # in the same co-group
         "retention_cohorts",
+        # distinct (user, day) rows feed each user's streak detection in
+        # the same co-group
+        "activity_streaks",
+        # an order's distinct parts before its co-occurrence pairs are
+        # enumerated in the same co-group
+        "_packed_pair_counts",
+        # INTERSECT / EXCEPT's own set semantics: the left side's keys made
+        # distinct in the one co-group that matches them to the right side
+        "_distinct_set_op",
+        # a KMV sketch merge: the k smallest distinct hashes of a group's
+        # samples, a bounded sketch, not a distinct set
+        "kmv_user_overlap",
         # the customer side's key made unique before the dimension join
         "clv_by_segment",
         # COUNT(DISTINCT) of the co-group key itself, inside the join: a
         # key lives in one bucket
         "unshipped_backlog_by_priority",
+    },
+    "similarity.py": {
+        # an LSH bucket's distinct ids before its pairs are enumerated in
+        # the same co-group: the output is pairs, not a distinct set
+        "embedding_near_dup",
     },
     "search.py": {
         # span incidences kept by their distinct-doc count: the rows, not
@@ -962,8 +979,10 @@ DISTINCT_ALLOWLIST = {
 
 def _hand_distinct(fn: ast.AST) -> bool:
     """Whether a callback writes a DISTINCT or COUNT(DISTINCT) by hand: a
-    ``.drop_duplicates(...)`` without ``keep=``, or pandas ``nunique``
-    (called, or named in ``agg``/``transform``)."""
+    ``.drop_duplicates(...)`` without ``keep=``, pandas ``nunique``
+    (called, or named in ``agg``/``transform``), or ``np.unique`` without
+    ``return_counts=``/``return_inverse=`` (with one of those it counts per
+    value or factorizes, which is not a DISTINCT)."""
     return any(
         (isinstance(n, ast.Constant) and n.value == "nunique")
         or (
@@ -972,6 +991,11 @@ def _hand_distinct(fn: ast.AST) -> bool:
             and (
                 n.func.attr == "nunique"
                 or (n.func.attr == "drop_duplicates" and not any(k.arg == "keep" for k in n.keywords))
+                or (
+                    n.func.attr == "unique"
+                    and getattr(n.func.value, "id", None) in ("np", "numpy")
+                    and not any(k.arg in ("return_counts", "return_inverse") for k in n.keywords)
+                )
             )
         )
         for n in ast.walk(fn)
@@ -1064,8 +1088,11 @@ def test_distinct_goes_through_combine():
 
 def test_distinct_guard_flags_the_hand_written_shapes():
     """The guard's patterns: a drop-duplicates callback, a nunique
-    aggregate, and a helper that wraps cogroup around a callback it is
-    given; a row pick (``keep=``) and a combine are not flagged."""
+    aggregate, a helper that wraps cogroup around a callback it is given,
+    and ``np.unique`` as a DISTINCT or a COUNT(DISTINCT) (the shapes
+    ``association_rules_topk`` once had); a row pick (``keep=``), a
+    combine and ``np.unique`` counting per value or factorizing are not
+    flagged."""
     src = """
 def a(ds):
     def distinct(g):
@@ -1087,6 +1114,25 @@ def d(ds):
     def last(g):
         return g.drop_duplicates("k", keep="last")
     return cogroup(ds, "k", last), combine(ds, ["v", "k"], {})
+
+def e(ds):
+    def n_distinct(g):
+        return pd.DataFrame({"n": [int(np.unique(g["v"].to_numpy()).size)]})
+    return cogroup(ds, "k", n_distinct)
+
+def f(ds):
+    def per_key(g):
+        v = np.unique(g["packed"].to_numpy())
+        uniq, cnt = np.unique(v & 0xFFFFFFFF, return_counts=True)
+        return pd.DataFrame({"k": uniq, "n": cnt})
+    return cogroup(ds, "k", per_key)
+
+def g(ds):
+    def counts(g):
+        u, c = np.unique(g["v"].to_numpy(), return_counts=True)
+        seg = np.bincount(np.unique(g["k"].to_numpy(), return_inverse=True)[1])
+        return pd.DataFrame({"v": u, "n": c, "seg": seg.max()})
+    return cogroup(ds, "k", counts)
 """
     flagged = [funcs[-1] for funcs, _ in _distinct_sites(ast.parse(src))]
-    assert flagged == ["a", "b", "c"]
+    assert flagged == ["a", "b", "c", "e", "f"]

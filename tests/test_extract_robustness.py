@@ -34,6 +34,10 @@ HTML_EDGE_CASES = [
     (f"<script/><p>{L}</p>".encode(), "ok", L, None),  # self-closing skip tag
     (f"<SCRIPT>hidden</SCRIPT><p>{L}</p>".encode(), "ok", L, None),
     (f"<script>never closed {L}".encode(), *NO_CONTENT),  # raw mode to EOF
+    (f"<script><!-- </script> --></script><p>{L}</p>".encode(), "ok", L, None),  # close in comment
+    (f"<script></scriptx>{L}</script><p>{L} two</p>".encode(), "ok", f"{L} two", None),  # longer name
+    (f"<script>x<\u00a0/script><p>{L}</p>".encode(), "ok", L, None),  # Unicode space closes
+    (f"<style>x</\u017ftyle><p>{L}</p>".encode(), *NO_CONTENT),  # long s is not 's'
     (f"<style>.a {{color: red}}</style><p>{L}</p>".encode(), "ok", L, None),
     (f"<a href='/x'>{L}</a>".encode(), *NO_CONTENT),  # fully linked block
     (f"<a href='/x'><div>{L}</div></a><p>{L} real</p>".encode(), "ok", f"{L} real", None),
@@ -129,7 +133,7 @@ def test_extract_documents_over_all_edge_payloads():
     cases += [(c, "pdf_xycut_v1") for c in PDF_EDGE_CASES]
     payloads = [c[0] for c, _ in cases]
     n = len(payloads)
-    assert n == 57
+    assert n == 61
     batch = pa.table(
         {
             "doc_id": pa.array(range(n), pa.int64()),

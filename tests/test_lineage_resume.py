@@ -200,8 +200,8 @@ def test_doc_side_part_id_matches_rendered_url(sf_dir, sf_name):
 def test_final_table_is_invariant_to_unit_count(sf_dir, tmp_path, one_shot):
     """units=3 splits 16 partitions 6/5/5; every unit count must give the
     one-shot extraction, and each unit writes at most fan-out × partitions
-    files (``ioutil.fan_out`` gives ceil(16·k/P) blocks on the 4-CPU test
-    session)."""
+    files (``ioutil.read_table``'s read fan-out gives ceil(16·k/P) blocks on
+    the 4-CPU test session)."""
     import math
 
     for units in (1, 3, 4, 16):
@@ -216,7 +216,7 @@ def test_final_table_is_invariant_to_unit_count(sf_dir, tmp_path, one_shot):
 
 @pytest.mark.parametrize("cpus", [1, 16])
 def test_fan_out_follows_the_cpu_count(sf_dir, tmp_path, monkeypatch, cpus):
-    """Planted CPU counts: ``ioutil.fan_out`` sizes the read fan-out of
+    """Planted CPU counts: ``ioutil.read_table`` sizes the read fan-out of
     ``corpus.read_pages`` and of every resume unit by the CPUs it reads, and
     no result may depend on them. At 1 and at 16 CPUs the extraction equals
     the ``fanout_blocks=32`` one row for row, and a 4-unit crash+resume
@@ -243,3 +243,41 @@ def test_fan_out_follows_the_cpu_count(sf_dir, tmp_path, monkeypatch, cpus):
         assert n_files <= DEFAULT_NUM_PARTITIONS + 4, n_files
     else:
         assert n_files > DEFAULT_NUM_PARTITIONS + 4, n_files
+
+
+def test_read_pages_fans_out_inside_the_read(sf_dir):
+    """The pinned fan-out splits the one read task's output into blocks
+    (``ReadParquet->SplitBlocks``); no all-to-all repartition runs before
+    the render."""
+    from pdf_extractor_ray import corpus
+
+    pages = corpus.read_pages(sf_dir, fanout_blocks=16).materialize()
+    assert pages.num_blocks() == 16
+    stats = pages.stats()
+    assert "ReadParquet->SplitBlocks(16)" in stats
+    assert "Repartition" not in stats
+
+
+def test_resume_unit_is_one_task_at_one_cpu(sf_dir, tmp_path, monkeypatch):
+    """At a planted 1 CPU a 4-partition unit's read fan-out is one block, so
+    Ray fuses its read, partition filter, render, extraction and write into
+    one operator that runs one task; every unit of a 4-unit run does."""
+    from pdf_extractor_ray import ioutil
+    from pdf_extractor_ray.pipelines import extract
+
+    written = []
+    extract_pages = extract.extract_pages
+
+    def spy(*args, **kwargs):
+        written.append(extract_pages(*args, **kwargs))
+        return written[-1]
+
+    monkeypatch.setattr(ioutil, "cluster_cpus", lambda: 1)
+    monkeypatch.setattr(extract, "extract_pages", spy)
+    extract_with_resume(sf_dir, str(tmp_path / "run"), units=4)
+    assert len(written) == 4
+    for ds in written:
+        ops = [line for line in ds.stats().splitlines() if line.startswith("Operator ")]
+        assert len(ops) == 1, ops
+        assert "ReadParquet->" in ops[0] and "->Write:" in ops[0], ops
+        assert ": 1 tasks executed" in ops[0], ops
